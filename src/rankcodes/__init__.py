@@ -21,8 +21,7 @@ from .equivalence import (RankEquivalenceMap, exact_product_test,
                           product_characterization,
                           reduction_equivalence_invariants, to_c_opt)
 from .wiretap import (LeakageReport, composition_search, coset_decode,
-                      coset_encode, leakage_empirical, leakage_exact,
-                      stronger_security_bound)
+                      coset_encode, leakage_exact, stronger_security_bound)
 
 __version__ = "0.1.0"
 
@@ -43,5 +42,5 @@ __all__ = [
     "RankEquivalenceMap", "exact_product_test", "product_characterization",
     "reduction_equivalence_invariants", "to_c_opt",
     "LeakageReport", "composition_search", "coset_decode", "coset_encode",
-    "leakage_empirical", "leakage_exact", "stronger_security_bound",
+    "leakage_exact", "stronger_security_bound",
 ]

@@ -271,9 +271,8 @@ def _cmd_check(args) -> int:
     obj = _load_code(args)
     code = _plain(obj)
     if args.what == "mrd":
-        table, _ = grw.grw_table_exact(code, args.budget)
-        mrd, defect = grw.singleton_check(code.tower.m, code.n, code.k, table[0], table[0])
-        print(f"mrd={'true' if mrd else 'false'} defect={defect}")
+        report = grw.grw_report_exact(code, args.budget)
+        print(f"mrd={grw._fmt_flag(report.mrd)} defect={grw._fmt_int(report.defect)}")
     elif args.what == "degenerate":
         print(f"degenerate={'true' if grw.is_degenerate(code) else 'false'}")
     elif args.what == "product":

@@ -71,42 +71,25 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.tower.order})"
 
 
-class Reduction:
-    """A block-upper-triangular generator structure.
+class _BlockRows:
+    """Block bookkeeping shared by a reduction and its structured dual.
 
-    Blocks G_{i,j} (0-indexed, i <= j) have shape dims[i] x lengths[j];
-    each diagonal block generates the main component C_i and must have
-    full rank.  Off-diagonal blocks default to zero.
+    Row group i has row_dims[i] rows and column block j has lengths[j]
+    columns; block (i, j) is the row_dims[i] x lengths[j] piece where they
+    meet.  A block missing from the store reads as zero.
     """
 
-    def __init__(self, tower: FieldTower, lengths: Sequence[int], dims: Sequence[int],
+    def __init__(self, tower: FieldTower, lengths: Sequence[int], row_dims: Sequence[int],
                  blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]]):
-        lengths = tuple(int(x) for x in lengths)
-        dims = tuple(int(x) for x in dims)
-        if len(lengths) != len(dims) or not lengths:
-            raise ValueError("lengths and dims must be equally sized and nonempty")
-        if any(n_i < 1 for n_i in lengths) or any(k_i < 0 for k_i in dims):
-            raise ValueError("block lengths must be positive and dims nonnegative")
-        l = len(lengths)
+        self.tower = tower
+        self.lengths = tuple(int(x) for x in lengths)
+        self._row_dims = tuple(int(x) for x in row_dims)
         store: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
         for (i, j), rows in blocks.items():
-            if not (0 <= i <= j < l):
-                raise ValueError(f"block index {(i, j)} outside the upper triangle")
             rows = tuple(tuple(int(x) for x in row) for row in rows)
-            if len(rows) != dims[i] or any(len(row) != lengths[j] for row in rows):
+            if len(rows) != self._row_dims[i] or any(len(row) != self.lengths[j] for row in rows):
                 raise ValueError(f"block {(i, j)} has the wrong shape")
             store[(i, j)] = rows
-        for i in range(l):
-            diag = store.setdefault(
-                (i, i), tuple(tuple(0 for _ in range(lengths[i])) for _ in range(dims[i])))
-            if linalg.rank(diag, lengths[i], tower) != dims[i]:
-                raise ValueError(f"diagonal block {i} is rank deficient")
-            for j in range(i + 1, l):
-                store.setdefault((i, j), tuple(tuple(0 for _ in range(lengths[j]))
-                                               for _ in range(dims[i])))
-        self.tower = tower
-        self.lengths = lengths
-        self.dims = dims
         self.blocks = store
         self._code: Optional[LinearCode] = None
 
@@ -118,6 +101,51 @@ class Reduction:
     def n(self) -> int:
         return sum(self.lengths)
 
+    def block(self, i: int, j: int) -> Tuple[Tuple[int, ...], ...]:
+        zero = ((0,) * self.lengths[j],) * self._row_dims[i]
+        return self.blocks.get((i, j), zero)
+
+    def _group_rows(self, i: int) -> List[List[int]]:
+        """The full-length rows of row group i."""
+        blocks = [self.block(i, j) for j in range(self.l)]
+        return [[x for blk in blocks for x in blk[r]] for r in range(self._row_dims[i])]
+
+    def generator(self) -> List[List[int]]:
+        return [row for i in range(self.l) for row in self._group_rows(i)]
+
+    def code(self) -> LinearCode:
+        if self._code is None:
+            self._code = LinearCode(self.tower, self.n, self.generator())
+        return self._code
+
+
+class Reduction(_BlockRows):
+    """A block-upper-triangular generator structure.
+
+    Blocks G_{i,j} (0-indexed, i <= j) have shape dims[i] x lengths[j];
+    each diagonal block generates the main component C_i and must have
+    full rank.  Off-diagonal blocks default to zero.
+    """
+
+    def __init__(self, tower: FieldTower, lengths: Sequence[int], dims: Sequence[int],
+                 blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]]):
+        if len(lengths) != len(dims) or not lengths:
+            raise ValueError("lengths and dims must be equally sized and nonempty")
+        if any(n_i < 1 for n_i in lengths) or any(k_i < 0 for k_i in dims):
+            raise ValueError("block lengths must be positive and dims nonnegative")
+        l = len(lengths)
+        for (i, j) in blocks:
+            if not (0 <= i <= j < l):
+                raise ValueError(f"block index {(i, j)} outside the upper triangle")
+        super().__init__(tower, lengths, dims, blocks)
+        for i in range(l):
+            if linalg.rank(self.block(i, i), self.lengths[i], tower) != self.dims[i]:
+                raise ValueError(f"diagonal block {i} is rank deficient")
+
+    @property
+    def dims(self) -> Tuple[int, ...]:
+        return self._row_dims
+
     @property
     def k(self) -> int:
         return sum(self.dims)
@@ -125,44 +153,16 @@ class Reduction:
     def col_offset(self, j: int) -> int:
         return sum(self.lengths[:j])
 
-    def block(self, i: int, j: int) -> Tuple[Tuple[int, ...], ...]:
-        return self.blocks[(i, j)]
-
-    def generator(self) -> List[List[int]]:
-        rows = []
-        for i in range(self.l):
-            for r in range(self.dims[i]):
-                row: List[int] = []
-                for j in range(self.l):
-                    if j < i:
-                        row.extend([0] * self.lengths[j])
-                    else:
-                        row.extend(self.blocks[(i, j)][r])
-                rows.append(row)
-        return rows
-
-    def code(self) -> LinearCode:
-        if self._code is None:
-            self._code = LinearCode(self.tower, self.n, self.generator())
-        return self._code
-
     def main_component(self, i: int) -> LinearCode:
-        return LinearCode(self.tower, self.lengths[i], self.blocks[(i, i)])
+        return LinearCode(self.tower, self.lengths[i], self.block(i, i))
 
     def row_component(self, i: int) -> LinearCode:
-        pre = self.col_offset(i)
-        rows = []
-        for r in range(self.dims[i]):
-            row = [0] * pre
-            for j in range(i, self.l):
-                row.extend(self.blocks[(i, j)][r])
-            rows.append(row)
-        return LinearCode(self.tower, self.n, rows)
+        return LinearCode(self.tower, self.n, self._group_rows(i))
 
     def column_block(self, j: int) -> List[List[int]]:
         rows: List[List[int]] = []
         for i in range(j + 1):
-            rows.extend(list(r) for r in self.blocks[(i, j)])
+            rows.extend(list(r) for r in self.block(i, j))
         return rows
 
     def column_component(self, j: int) -> LinearCode:
@@ -170,7 +170,7 @@ class Reduction:
         return LinearCode(self.tower, self.lengths[j], rows)
 
     def is_cartesian(self) -> bool:
-        return all(all(all(x == 0 for x in row) for row in self.blocks[(i, j)])
+        return all(all(all(x == 0 for x in row) for row in self.block(i, j))
                    for i in range(self.l) for j in range(i + 1, self.l))
 
     @classmethod
@@ -198,58 +198,16 @@ class Reduction:
         return f"Reduction(lengths={list(self.lengths)}, dims={list(self.dims)})"
 
 
-class DualReduction:
+class DualReduction(_BlockRows):
     """Block-lower-triangular generator of the dual of a reducible code.
 
     Row group i has lengths[i] - dims[i] rows supported on column blocks
     0..i; the diagonal block generates the dual of main component i.
     """
 
-    def __init__(self, tower: FieldTower, lengths: Sequence[int], dual_dims: Sequence[int],
-                 blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]]):
-        self.tower = tower
-        self.lengths = tuple(lengths)
-        self.dual_dims = tuple(dual_dims)
-        self.blocks = {key: tuple(tuple(x for x in row) for row in rows)
-                       for key, rows in blocks.items()}
-
     @property
-    def l(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def n(self) -> int:
-        return sum(self.lengths)
-
-    def block(self, i: int, j: int) -> Tuple[Tuple[int, ...], ...]:
-        return self.blocks[(i, j)]
-
-    def generator(self) -> List[List[int]]:
-        rows = []
-        for i in range(self.l):
-            for r in range(self.dual_dims[i]):
-                row: List[int] = []
-                for j in range(self.l):
-                    if j <= i:
-                        row.extend(self.blocks[(i, j)][r])
-                    else:
-                        row.extend([0] * self.lengths[j])
-                rows.append(row)
-        return rows
-
-    def code(self) -> LinearCode:
-        return LinearCode(self.tower, self.n, self.generator())
-
-    def row_component(self, i: int) -> LinearCode:
-        rows = []
-        tail = sum(self.lengths[i + 1:])
-        for r in range(self.dual_dims[i]):
-            row: List[int] = []
-            for j in range(i + 1):
-                row.extend(self.blocks[(i, j)][r])
-            row.extend([0] * tail)
-            rows.append(row)
-        return LinearCode(self.tower, self.n, rows)
+    def dual_dims(self) -> Tuple[int, ...]:
+        return self._row_dims
 
     def reversed_reduction(self) -> Reduction:
         """Reverse the block order; the result generates a rank-equivalent
@@ -640,12 +598,7 @@ def exact_reduction_for_d1(R: Reduction, budget: int = DEFAULT_BUDGET) -> Reduct
     tau = next(t for t, v in enumerate(parts[i0]) if v)
     pivot_inv = tower.inv(parts[i0][tau])
 
-    rows_by_block = []
-    gen = R.generator()
-    pos = 0
-    for k_i in R.dims:
-        rows_by_block.append(gen[pos:pos + k_i])
-        pos += k_i
+    rows_by_block = [R._group_rows(i) for i in range(R.l)]
     new_i0 = [list(row) for row in rows_by_block[i0]]
     for j in range(i0 + 1, R.l):
         if not any(parts[j]):

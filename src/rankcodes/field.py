@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+from . import linalg
+
 # Full multiplication/addition tables are built below this order;
 # exp/log tables below the second cap.  Larger towers still work, just
 # slower (direct polynomial arithmetic per call).
@@ -46,17 +48,6 @@ def _poly_trim(c: Sequence[int]) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a: Sequence[int], b: Sequence[int], p: int) -> Poly:
@@ -121,26 +112,6 @@ def _digits(code: int, p: int, m: int) -> Poly:
     return tuple(out)
 
 
-def _mat_inv_mod_p(rows: Sequence[Sequence[int]], p: int):
-    """Inverse of a square matrix over F_p, or None if singular."""
-    n = len(rows)
-    aug = [[rows[i][j] % p for j in range(n)] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 class FieldTower:
     """The extension F_p < F_{p^m} with a fixed F_p-basis alpha_1..alpha_m.
 
@@ -180,11 +151,7 @@ class FieldTower:
             basis = tuple(tuple(x % p for x in row) for row in basis)
             if len(basis) != m or any(len(row) != m for row in basis):
                 raise ValueError("basis matrix must be m x m")
-        inv = _mat_inv_mod_p(basis, p)
-        if inv is None:
-            raise ValueError("basis matrix is singular over F_p")
         self.basis = basis
-        self.basis_inv = inv
         self.alphas = tuple(self.from_coeffs(row) for row in basis)
 
         # reduction rows: y^(m+j) mod modulus for j = 0..m-2, used by raw
@@ -230,6 +197,14 @@ class FieldTower:
                 raise AssertionError("trace of a monomial left the base field")
             tr.append(s)
         self._trace_monomials = tuple(tr)
+
+        # F_p is closed under the tower's operations, so rref of [basis | I]
+        # inverts the basis over F_p
+        aug = [list(row) + e for row, e in zip(basis, linalg.identity(m))]
+        reduced, pivots = linalg.rref(aug, 2 * m, self)
+        if pivots != list(range(m)):
+            raise ValueError("basis matrix is singular over F_p")
+        self.basis_inv = tuple(tuple(row[m:]) for row in reduced)
         self._hash = hash((p, m, self.modulus, self.basis))
 
     # -- scalar codecs -------------------------------------------------
@@ -264,9 +239,6 @@ class FieldTower:
 
     def elements(self):
         return range(self.order)
-
-    def subfield_elements(self):
-        return range(self.p)
 
     def in_subfield(self, x: int) -> bool:
         return 0 <= x < self.p

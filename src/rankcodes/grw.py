@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, dual_reduction
+from .errors import HypothesisError
 from .linalg import DEFAULT_BUDGET, gaussian_binomial
 
 
@@ -98,19 +99,10 @@ def grw_exact_subcodes(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -
 
 def grw_exact_closed_spaces(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest dimension of a Galois closed space meeting the code in
-    dimension >= r; scans dimensions upward and stops at the first hit."""
+    dimension >= r."""
     if not 1 <= r <= code.k:
         raise ValueError(f"r={r} outside 1..{code.k}")
-    tower = code.tower
-    remaining = budget
-    G = [list(row) for row in code.G]
-    for d in range(r, code.n + 1):
-        for basis in linalg.subspace_bases(code.n, d, range(tower.p), remaining):
-            inter = code.k + d - linalg.rank(G + basis, code.n, tower)
-            if inter >= r:
-                return d
-        remaining -= gaussian_binomial(code.n, d, tower.p)
-    raise AssertionError("the full space always meets the code")  # unreachable
+    return _closed_space_table(code, r, budget)[r - 1]
 
 
 def _subcode_cost(code: LinearCode) -> int:
@@ -133,15 +125,17 @@ def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
         table = [grw_exact_subcodes(code, r, budget) for r in range(1, code.k + 1)]
         return table, "oracle-subcode"
     if method == "closed":
-        return _closed_space_table(code, budget), "oracle-closed-space"
+        return _closed_space_table(code, code.k, budget), "oracle-closed-space"
     raise ValueError(f"unknown oracle method {method!r}")
 
 
-def _closed_space_table(code: LinearCode, budget: int) -> List[int]:
+def _closed_space_table(code: LinearCode, r: int, budget: int) -> List[int]:
+    """Weights d_{R,1} .. d_{R,r}: scans dimensions upward, leaves a
+    dimension at the first space meeting the code in dimension r, and
+    stops once entry r is filled."""
     tower = code.tower
     G = [list(row) for row in code.G]
-    table: List[Optional[int]] = [None] * code.k
-    filled = 0
+    table: List[int] = []
     remaining = budget
     for d in range(1, code.n + 1):
         best_inter = 0
@@ -149,16 +143,13 @@ def _closed_space_table(code: LinearCode, budget: int) -> List[int]:
             inter = code.k + d - linalg.rank(G + basis, code.n, tower)
             if inter > best_inter:
                 best_inter = inter
-                if best_inter == code.k:
+                if best_inter >= r:
                     break
-        for r in range(filled + 1, min(best_inter, code.k) + 1):
-            table[r - 1] = d
-        filled = max(filled, min(best_inter, code.k))
-        if filled == code.k:
-            break
+        table.extend([d] * (min(best_inter, r) - len(table)))
+        if len(table) == r:
+            return table
         remaining -= gaussian_binomial(code.n, d, tower.p)
-    assert all(x is not None for x in table)
-    return table  # type: ignore[return-value]
+    raise AssertionError("the full space always meets the code")  # unreachable
 
 
 def singleton_max_d1(m: int, n: int, k: int) -> int:
@@ -195,23 +186,20 @@ def minplus(tables: Sequence[Sequence[int]], k: int) -> List[int]:
     contributes 0.  Entry r of the result is the minimum of
     sum_i d_{r_i} over compositions r = sum r_i with 0 <= r_i <= k_i.
     """
-    INF = float("inf")
-    f: List[float] = [0.0] + [INF] * k
+    f: List[Optional[int]] = [0] + [None] * k
     for table in tables:
-        k_i = len(table)
-        g: List[float] = [INF] * (k + 1)
-        for r in range(k + 1):
-            if f[r] == INF:
+        g = list(f)
+        for r, base in enumerate(f):
+            if base is None:
                 continue
-            if f[r] < g[r]:
-                g[r] = f[r]
-            for r_i in range(1, min(k_i, k - r) + 1):
-                v = f[r] + table[r_i - 1]
-                if v < g[r + r_i]:
+            for r_i in range(1, min(len(table), k - r) + 1):
+                v = base + table[r_i - 1]
+                if g[r + r_i] is None or v < g[r + r_i]:
                     g[r + r_i] = v
         f = g
-    assert f[k] != INF
-    return [int(x) for x in f]
+    if f[k] is None:
+        raise ValueError(f"the component tables cover fewer than k={k} dimensions")
+    return f  # type: ignore[return-value]
 
 
 def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET,
@@ -273,13 +261,19 @@ def grw_report_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
 
 def grw_estimates_mrd(plan) -> List[int]:
     """Lower-bound table for the planned reducible code, via the closed
-    forms; the (j, r) ranges must tile r = 1..k exactly."""
+    forms; the (j, r) ranges must tile r = 1..k exactly.  Plans outside
+    the family's hypotheses (verdict not-covered) are refused."""
+    if not plan.hypotheses_ok:
+        raise HypothesisError(f"no estimates for m={plan.m} n={plan.n} k={plan.k}: the plan "
+                              f"is outside the family's hypotheses (verdict {plan.verdict})")
     l, t, s, kp, m, k = plan.l, plan.t, plan.s, plan.kprime, plan.m, plan.k
     vals: List[Optional[int]] = [None] * (k + 1)
 
     def put(r: int, v: int) -> None:
-        assert 1 <= r <= k, f"estimate range leaked r={r}"
-        assert vals[r] is None, f"estimate ranges overlap at r={r}"
+        if not 1 <= r <= k:
+            raise AssertionError(f"estimate range leaked r={r}")
+        if vals[r] is not None:
+            raise AssertionError(f"estimate ranges overlap at r={r}")
         vals[r] = v
 
     if t <= s:
@@ -302,7 +296,8 @@ def grw_estimates_mrd(plan) -> List[int]:
         for j in range(l - s + 1, l + 1):
             for r in range((j - 1) * (kp - 1) + l - s + 1, j * (kp - 1) + l - s + 1):
                 put(r, j * (m - kp) + r - t + s)
-    assert all(v is not None for v in vals[1:]), "estimate ranges do not tile 1..k"
+    if any(v is None for v in vals[1:]):
+        raise AssertionError("estimate ranges do not tile 1..k")
     return vals[1:]  # type: ignore[return-value]
 
 
@@ -368,13 +363,10 @@ def mrd_rank_bounds(R: Reduction, budget: int = DEFAULT_BUDGET) -> MrdRankBounds
             H = D.block(i, j)
             if all(x == 0 for row in H for x in row):
                 continue
+            # block (i, j) adds k_ij - r_ij + 2 = d_1 of the code it generates
             n_j = R.lengths[j]
-            k_ij = n_j - linalg.rank(H, n_j, R.tower)
-            dual_rows = linalg.rref_nonzero(H, n_j, R.tower)
-            dual_code = LinearCode(R.tower, n_j, dual_rows)
-            d1_dual, _ = grw_table_exact(dual_code, budget)
-            r_ij = k_ij - d1_dual[0] + 2
-            total += k_ij - r_ij + 2
+            dual_code = LinearCode(R.tower, n_j, linalg.rref_nonzero(H, n_j, R.tower))
+            total += grw_table_exact(dual_code, budget)[0][0]
         if upper_blocks is None or total < upper_blocks:
             upper_blocks = total
     if upper_blocks is None:

@@ -216,10 +216,6 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def subspace_count(n: int, q: int) -> int:
-    return sum(gaussian_binomial(n, d, q) for d in range(n + 1))
-
-
 def subspace_bases(n: int, d: int, elements: Sequence[int],
                    budget: int = DEFAULT_BUDGET) -> Iterator[Rows]:
     """Yield every d-dim subspace of F^n once, as its canonical RREF basis.

@@ -118,8 +118,9 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     exhaustive enumeration of the joint distribution.
 
     Every atom probability is a power of q, so the entropies are exact
-    rationals in packet units; the result is asserted against the
-    intersection-dimension formula before being returned.
+    rationals in packet units; the result is checked against the
+    intersection-dimension formula before being returned, and a mismatch
+    raises AssertionError (also under ``python -O``).
     """
     tower = code.tower
     _check_wiretap_rows(tower, B_rows, code.n)
@@ -148,50 +149,9 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
         den = _int_log(s_count[s], q) + _int_log(w_count[w], q)
         info += Fraction(cnt, atoms) * Fraction(num - den, m)
     exact = leakage_exact(code, B_rows).leakage
-    assert info == exact, f"joint enumeration gave {info}, intersection gives {exact}"
+    if info != exact:
+        raise AssertionError(f"joint enumeration gave {info}, intersection gives {exact}")
     return info
-
-
-def leakage_sampled(code: LinearCode, B_rows: Sequence[Sequence[int]],
-                    trials: int, seed: int) -> float:
-    """Monte-Carlo estimate of the same mutual information (loose; the
-    enumeration mode is the one used for verification)."""
-    tower = code.tower
-    _check_wiretap_rows(tower, B_rows, code.n)
-    n, k = code.n, code.k
-    rng = linalg.rng_stream(seed, "leakage-sample")
-    Bt = linalg.transpose(list(B_rows), n) if B_rows else []
-    Gt = linalg.transpose(list(code.G), n) if k else []
-    joint: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    s_count: Dict[Tuple[int, ...], int] = {}
-    w_count: Dict[Tuple[int, ...], int] = {}
-    for _ in range(trials):
-        c = [int(v) for v in rng.integers(0, tower.order, size=n)]
-        s = tuple(linalg.vec_mat(c, Gt, k, tower)) if k else ()
-        w = tuple(linalg.vec_mat(c, Bt, len(B_rows), tower)) if B_rows else ()
-        joint[(s, w)] = joint.get((s, w), 0) + 1
-        s_count[s] = s_count.get(s, 0) + 1
-        w_count[w] = w_count.get(w, 0) + 1
-    import math
-    info = 0.0
-    for (s, w), cnt in joint.items():
-        p_sw = cnt / trials
-        info += p_sw * math.log(p_sw * trials * trials / (s_count[s] * w_count[w]))
-    return info / math.log(tower.order)
-
-
-def leakage_empirical(code: LinearCode, B_rows: Sequence[Sequence[int]],
-                      budget: int = JOINT_BUDGET, sampling: bool = False,
-                      trials: int = 10000, seed: int = 0):
-    """Dispatch: exhaustive joint enumeration within budget, else the
-    sampling fallback when it was explicitly enabled."""
-    atoms = code.tower.order**code.n
-    if atoms <= budget:
-        return leakage_joint_enumeration(code, B_rows, budget)
-    if sampling:
-        return leakage_sampled(code, B_rows, trials, seed)
-    raise BudgetError(atoms, budget,
-                      f"joint enumeration needs {atoms} atoms and sampling is disabled")
 
 
 # -- stronger security on reductions -----------------------------------

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from rankcodes import FieldTower, LinearCode, linalg
@@ -30,3 +33,11 @@ def random_full_rank(tower, n, k, seed, label="random-code"):
         G = [[int(v) for v in rng.integers(0, tower.order, size=n)] for _ in range(k)]
         if linalg.rank(G, n, tower) == k:
             return LinearCode(tower, n, G)
+
+
+def src_env():
+    """Environment for a child interpreter that imports this checkout's src."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -32,6 +32,20 @@ def test_construct_gabidulin_then_check_mrd(tmp_path, capsys):
     assert out.startswith("mrd=true")
 
 
+def test_check_mrd_on_zero_code(tmp_path, capsys):
+    path = tmp_path / "zero.code"
+    path.write_text("field p=2 m=2 modulus=1,1,1\ncode n=4 k=0\n")
+    rc, out, err = run(capsys, "check", "mrd", "--input", str(path))
+    assert (rc, out, err) == (0, "mrd=unknown defect=-\n", "")
+
+
+def test_estimates_outside_hypotheses_exit_1(capsys):
+    rc, out, err = run(capsys, "grw", "estimates", "--p", "2", "--m", "6",
+                       "--n", "8", "--k", "3")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "not-covered" in err
+
+
 def test_budget_exit_code_names_count(tmp_path, capsys):
     path = str(tmp_path / "gab.code")
     run(capsys, "construct", "gabidulin", "--p", "2", "--m", "4",

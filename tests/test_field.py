@@ -134,6 +134,18 @@ def test_nonidentity_basis_roundtrip():
         FieldTower(2, 2, basis=[[1, 1], [1, 1]])  # singular
 
 
+def test_basis_inverse_over_fp():
+    for p, basis in [(3, [[1, 2], [1, 1]]), (2, [[0, 1, 1], [1, 1, 0], [1, 0, 0]]),
+                     (5, [[2, 0], [3, 4]])]:
+        m = len(basis)
+        t = FieldTower(p, m, basis=basis)
+        prod = [[sum(basis[i][k] * t.basis_inv[k][j] for k in range(m)) % p for j in range(m)]
+                for i in range(m)]
+        assert prod == [[int(i == j) for j in range(m)] for i in range(m)]
+    with pytest.raises(ValueError, match="singular"):
+        FieldTower(3, 2, basis=[[1, 2], [2, 1]])  # second row is twice the first
+
+
 def test_tower_equality_and_hash():
     assert FieldTower(2, 2) == FieldTower(2, 2)
     assert hash(FieldTower(2, 2)) == hash(FieldTower(2, 2))

@@ -1,7 +1,7 @@
 import pytest
 
-from rankcodes import (BudgetError, FieldTower, LinearCode, build_c_opt,
-                       cartesian, decompose_by_blocks, dual_grw_upper,
+from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
+                       build_c_opt, cartesian, decompose_by_blocks, dual_grw_upper,
                        gabidulin, grw_bounds_reducible, grw_estimates_mrd,
                        grw_exact_closed_spaces, grw_exact_subcodes,
                        grw_report_exact, grw_table_exact, is_degenerate,
@@ -62,6 +62,11 @@ def test_oracle_validation(f4):
 def test_minplus_hand_example():
     # two blocks with k_i = 1 and tables (2), (2)
     assert minplus([[2], [2]], 2) == [0, 2, 4]
+
+
+def test_minplus_rejects_tables_short_of_k():
+    with pytest.raises(ValueError):
+        minplus([[2], [2]], 3)
 
 
 def test_bounds_cartesian_equality(f4):
@@ -125,6 +130,13 @@ def test_estimates_vs_minplus_of_singleton_tables(f4, f8):
         plan = mrd_plan(tower, n, k)
         tables = [[L - d + r for r in range(1, d + 1)] for L, d in plan.components]
         assert grw_estimates_mrd(plan) == minplus(tables, k)[1:]
+
+
+def test_estimates_refuse_plans_outside_the_hypotheses():
+    plan = mrd_plan(FieldTower(2, 6), 8, 3)
+    assert plan.verdict == "not-covered"
+    with pytest.raises(HypothesisError, match="not-covered"):
+        grw_estimates_mrd(plan)
 
 
 # -- singleton / MRD rank ---------------------------------------------------------

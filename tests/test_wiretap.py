@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from rankcodes import (BudgetError, CodeFileError, FieldTower, HypothesisError,
 from rankcodes import wiretap as wt
 from rankcodes.rankmetric import GaloisClosedSpace
 
-from conftest import random_full_rank
+from conftest import random_full_rank, src_env
 
 
 # -- coset coding -------------------------------------------------------------
@@ -104,11 +106,35 @@ def test_joint_enumeration_budget(f8):
     code = random_full_rank(f8, 4, 2, seed=1, label="joint-budget")
     with pytest.raises(BudgetError):
         wt.leakage_joint_enumeration(code, [], budget=10)
-    with pytest.raises(BudgetError):
-        wt.leakage_empirical(code, [], budget=10, sampling=False)
-    est = wt.leakage_empirical(code, linalg.identity(4), budget=10,
-                               sampling=True, trials=2000, seed=3)
-    assert abs(float(est) - code.k) < 0.3
+
+
+_OFF_BY_ONE = """
+from rankcodes import FieldTower, gabidulin, linalg
+from rankcodes import wiretap as wt
+
+real = wt.leakage_exact
+
+def off_by_one(code, B_rows, table=None):
+    rep = real(code, B_rows, table)
+    rep.leakage += 1
+    return rep
+
+wt.leakage_exact = off_by_one
+code = gabidulin(FieldTower(2, 2), 2, 1)
+try:
+    wt.leakage_joint_enumeration(code, linalg.identity(2))
+except AssertionError as exc:
+    print("debug" if __debug__ else "optimized", "raised:", exc)
+"""
+
+
+def test_joint_enumeration_check_survives_optimize():
+    # under -O a bare assert would vanish and the mismatch would pass silently
+    res = subprocess.run([sys.executable, "-O", "-c", _OFF_BY_ONE],
+                         env=src_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("optimized raised: joint enumeration gave 1, "
+                                 "intersection gives 2")
 
 
 # -- stronger security ----------------------------------------------------------------
