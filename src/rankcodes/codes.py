@@ -300,6 +300,7 @@ def dual_reduction(R: Reduction) -> DualReduction:
     """
     tower = R.tower
     l = R.l
+    minus_one = tower.neg(1)
     blocks: Dict[Tuple[int, int], List[List[int]]] = {
         (i, j): [] for i in range(l) for j in range(i + 1)}
     for i in range(l):
@@ -310,7 +311,7 @@ def dual_reduction(R: Reduction) -> DualReduction:
                 rhs = [0] * R.dims[a]
                 for j in range(a + 1, i + 1):
                     contrib = linalg.mat_vec(R.block(a, j), parts[j], tower)
-                    rhs = [tower.sub(x, c) for x, c in zip(rhs, contrib)]
+                    rhs = tower.axpy(rhs, minus_one, contrib)
                 sol = linalg.solve_right(R.block(a, a), R.lengths[a], rhs, tower)
                 if sol is None:  # cannot happen: G_{a,a} has full row rank
                     raise AssertionError("dual construction hit an inconsistent system")
@@ -482,17 +483,9 @@ class TransposedGabidulin:
 
     def vectors(self, budget: int = DEFAULT_BUDGET) -> List[List[int]]:
         """Codewords as vectors in F_{q^m}^n via the ambient alpha-basis."""
-        vecs = []
-        for M in self.matrices(budget):
-            vec = []
-            for j in range(self.n):
-                col = [M[i][j] for i in range(self.tower.m)]
-                x = 0
-                for coeff, alpha in zip(col, self.tower.alphas):
-                    x = self.tower.add(x, self.tower.mul(coeff, alpha))
-                vec.append(x)
-            vecs.append(vec)
-        return vecs
+        alphas = self.tower.alphas
+        # entry j is sum_i M[i][j] * alpha_i: the rows of M weighted by the alphas
+        return [linalg.vec_mat(alphas, M, self.n, self.tower) for M in self.matrices(budget)]
 
     def sample(self, seed: int, count: int) -> List[List[List[int]]]:
         rng = linalg.rng_stream(seed, "transposed-gab")
@@ -545,7 +538,7 @@ def plotkin_variant(c1: LinearCode, c2: LinearCode, mode: str, *,
         if tower.in_subfield(alpha):
             raise ValueError("alpha must lie outside F_q; inside F_q the "
                              "construction collapses to a cartesian product")
-        f = lambda row: rankmetric.vector_scale(tower, alpha, row)
+        f = lambda row: tower.scale(alpha, row)
     elif mode == "frobenius":
         if frob_power is None or not 0 < frob_power < tower.m:
             raise ValueError("mode frobenius needs a power i with 0 < i < m")
@@ -603,9 +596,9 @@ def exact_reduction_for_d1(R: Reduction, budget: int = DEFAULT_BUDGET) -> Reduct
     for j in range(i0 + 1, R.l):
         if not any(parts[j]):
             continue
-        coefs = [tower.neg(tower.mul(pivot_inv, v)) for v in parts[j]]
+        coefs = tower.scale(tower.neg(pivot_inv), parts[j])
         shift = linalg.vec_mat(coefs, rows_by_block[j], R.n, tower)
-        new_i0[tau] = [tower.add(aa, bb) for aa, bb in zip(new_i0[tau], shift)]
+        new_i0[tau] = tower.axpy(new_i0[tau], 1, shift)
     rows_by_block[i0] = new_i0
     flat = [row for chunk in rows_by_block for row in chunk]
     out = Reduction.from_generator(tower, R.lengths, R.dims, flat)
@@ -625,8 +618,7 @@ def transform_reduction(R: Reduction,
         for j in range(i, l):
             rows = A_blocks.get((i, j))
             if rows is None:
-                rows = [[1 if c == r and i == j else 0 for c in range(R.dims[j])]
-                        for r in range(R.dims[i])]
+                rows = linalg.identity(R.dims[i]) if i == j else linalg.zeros(R.dims[i], R.dims[j])
             rows = [list(map(int, row)) for row in rows]
             if len(rows) != R.dims[i] or any(len(row) != R.dims[j] for row in rows):
                 raise ValueError(f"transform block {(i, j)} has the wrong shape")
@@ -645,8 +637,7 @@ def transform_reduction(R: Reduction,
                 if R.dims[t] == 0:
                     continue
                 part = linalg.matmul(A[(i, t)], R.block(t, j), tower)
-                acc = [[tower.add(a, p) for a, p in zip(ar, pr)]
-                       for ar, pr in zip(acc, part)]
+                acc = [tower.axpy(ar, 1, pr) for ar, pr in zip(acc, part)]
             new_blocks[(i, j)] = acc
     return Reduction(tower, R.lengths, R.dims, new_blocks)
 

@@ -64,7 +64,7 @@ class RankEquivalenceMap:
         if lam is None:
             raise ValueError("vector lies outside the source space")
         out = linalg.vec_mat(lam, self.dst_basis, self.dst_n, self.tower)
-        return rankmetric.vector_scale(self.tower, self.beta, out)
+        return self.tower.scale(self.beta, out)
 
     def apply_code(self, code: LinearCode) -> LinearCode:
         return LinearCode(self.tower, self.dst_n, [self.apply(row) for row in code.G])
@@ -86,7 +86,7 @@ class RankEquivalenceMap:
         dst = []
         for v in inner.src_basis:
             img = self.apply(inner.apply(list(v)))
-            dst.append(tuple(rankmetric.vector_scale(tower, inv, img)))
+            dst.append(tuple(tower.scale(inv, img)))
         return RankEquivalenceMap(tower, inner.src_basis, tuple(dst), beta)
 
     def lines(self) -> List[str]:
@@ -112,10 +112,9 @@ def dual_alpha_basis(tower) -> Tuple[int, ...]:
     beta = linalg.solve_right(linalg.transpose(A, m), m, e1, tower)
     if beta is None or linalg.rank(A, m, tower) != m:
         raise AssertionError("Moore matrix of a basis must be invertible")
-    for l in range(m):
+    for l, expect in enumerate(linalg.identity(m)):
         row = [tower.frobenius(b, l) for b in beta]
         prod = linalg.vec_mat(row, A, m, tower)
-        expect = [1 if j == l else 0 for j in range(m)]
         assert prod == expect, "dual basis identity failed"
     B = [[tower.frobenius(b, j) for j in range(m)] for b in beta]
     assert linalg.rank(B, m, tower) == m
@@ -160,18 +159,14 @@ def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET,
     traces: List[List[int]] = []
     for b_s in code.G:
         for b_i in beta:
-            traces.append(rankmetric.vector_trace(
-                tower, rankmetric.vector_scale(tower, b_i, b_s)))
+            traces.append(rankmetric.vector_trace(tower, tower.scale(b_i, b_s)))
     assert linalg.rank(traces, code.n, tower) == k * m, \
         "trace vectors of a maximal-weight code must be independent"
     for s, b_s in enumerate(code.G):
-        recon = [0] * code.n
-        for i, alpha in enumerate(tower.alphas):
-            term = rankmetric.vector_scale(tower, alpha, traces[s * m + i])
-            recon = [tower.add(a, t) for a, t in zip(recon, term)]
-        assert list(recon) == list(b_s), "reconstruction identity failed"
+        recon = linalg.vec_mat(tower.alphas, traces[s * m:(s + 1) * m], code.n, tower)
+        assert recon == list(b_s), "reconstruction identity failed"
 
-    dst = [[1 if c == t else 0 for c in range(k * m)] for t in range(k * m)]
+    dst = linalg.identity(k * m)
     psi = RankEquivalenceMap(tower, tuple(tuple(r) for r in traces),
                              tuple(tuple(r) for r in dst), 1)
     c_opt = build_c_opt(tower, k)
@@ -226,7 +221,7 @@ def product_characterization(parts: Sequence[LinearCode],
 
     src = [row for cl in closures for row in cl.basis]
     width = sum(dims)
-    dst = [[1 if c == t else 0 for c in range(width)] for t in range(width)]
+    dst = linalg.identity(width)
     psi = RankEquivalenceMap(tower, tuple(tuple(r) for r in src),
                              tuple(tuple(r) for r in dst), 1)
     factors = []
@@ -325,14 +320,12 @@ def reduction_equivalence_invariants(R: Reduction, R2: Reduction,
     mains_eq: List[bool] = []
     rows_eq: List[bool] = []
     witnesses: List[Optional[RankEquivalenceMap]] = []
-    identity_n = [[1 if c == t else 0 for c in range(n)] for t in range(n)]
-    global_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in identity_n),
+    global_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in linalg.identity(n)),
                                     tuple(tuple(r) for r in A_rows), 1)
     for i in range(R.l):
         n_i = R.lengths[i]
         diag = [row[offsets[i]:offsets[i + 1]] for row in A_rows[offsets[i]:offsets[i + 1]]]
-        ident = [[1 if c == t else 0 for c in range(n_i)] for t in range(n_i)]
-        block_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in ident),
+        block_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in linalg.identity(n_i)),
                                        tuple(tuple(r) for r in diag), 1)
         main, main2 = R.main_component(i), R2.main_component(i)
         ok = block_map.apply_code(main).equals(main2) if R.dims[i] else True

@@ -6,11 +6,24 @@ integers: the code ``sum(c_i * p**i)`` stands for the polynomial
 ``c_0 + c_1*y + ... + c_{m-1}*y^(m-1)`` in ``F_p[y] / (modulus)``.  The
 base field sits inside as the codes ``0 .. p-1``.
 
+Arithmetic has one representation.  A tower of at most ``_TABLE_CAP``
+(2^16) elements fixes a primitive element g, writes N = p^m - 1, and keeps
+
+* ``_exp``: g^0 .. g^(N-1) twice over, followed by 2N+1 zeros;
+* ``_log``: the discrete log of each nonzero code, and 2N for 0, so that
+  any index sum with a zero term lands in the zero tail of ``_exp``;
+* for odd p, ``_zech``: the Zech logarithm log(1 + g^j) for j = 0..N-1,
+  twice over, with 2N (the zero tail again) where 1 + g^j = 0.
+
+A product is ``exp[log a + log b]`` with no test for zero, x^(p^i) is
+``exp[log x * p^i mod N]``, and a sum is the XOR of the codes for p = 2
+(their bits are the coefficients) and ``exp[log a + zech[log b - log a]]``
+for odd p.  Whole rows go through :meth:`FieldTower.axpy` and
+:meth:`FieldTower.scale`, so no other module sees the tables.  Larger
+towers have no tables and do polynomial arithmetic on each call.
+
 Everything is exact integer arithmetic; towers are immutable after
-construction and safe to share between workers.  Fields are sized for
-desk-scale work (the artifact never needs more than a few hundred
-elements); beyond the table caps the tower falls back to direct
-polynomial arithmetic.
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -19,11 +32,9 @@ from typing import Optional, Sequence, Tuple
 
 from . import linalg
 
-# Full multiplication/addition tables are built below this order;
-# exp/log tables below the second cap.  Larger towers still work, just
-# slower (direct polynomial arithmetic per call).
-_FULL_TABLE_CAP = 1 << 10
-_EXP_LOG_CAP = 1 << 16
+# Towers up to this order get log/antilog tables (a few MB at the cap);
+# above it every operation is polynomial arithmetic.
+_TABLE_CAP = 1 << 16
 
 Poly = Tuple[int, ...]
 
@@ -146,53 +157,23 @@ class FieldTower:
         self.modulus = modulus
 
         if basis is None:
-            basis = tuple(tuple(1 if j == i else 0 for j in range(m)) for i in range(m))
-        else:
-            basis = tuple(tuple(x % p for x in row) for row in basis)
-            if len(basis) != m or any(len(row) != m for row in basis):
-                raise ValueError("basis matrix must be m x m")
+            basis = linalg.identity(m)
+        basis = tuple(tuple(x % p for x in row) for row in basis)
+        if len(basis) != m or any(len(row) != m for row in basis):
+            raise ValueError("basis matrix must be m x m")
         self.basis = basis
         self.alphas = tuple(self.from_coeffs(row) for row in basis)
 
-        # reduction rows: y^(m+j) mod modulus for j = 0..m-2, used by raw
-        # polynomial multiplication.
-        red = []
-        cur = tuple((-c) % p for c in modulus[:m])  # y^m
-        for _ in range(max(m - 1, 0)):
-            red.append(cur)
-            cur = self._shift_reduce(cur)
-        self._reduction_rows = tuple(red)
-
-        # Frobenius x -> x^p as an F_p-linear map on coefficient vectors;
-        # powers give x -> x^(p^i).
-        yp = self._pow_raw(p, p) if m > 1 else 1  # code p encodes y
-        frob_rows = []
-        acc = 1  # (y^p)^j, starting at j=0
-        for _ in range(m):
-            frob_rows.append(self.coeffs(acc))
-            acc = self._mul_raw(acc, yp)
-        mats = [tuple(tuple(1 if j == i else 0 for j in range(m)) for i in range(m))]
-        base = tuple(frob_rows)
-        for _ in range(m - 1):
-            prev = mats[-1]
-            mats.append(tuple(self._apply_fp_matrix(prev[i], base) for i in range(m)))
-        # mats[i] maps coefficient vectors of x to those of x^(p^i)
-        self._frob_mats = tuple(mats)
-
-        self._exp = self._log = None
-        self._mul_t = self._inv_t = self._add_t = self._neg_t = None
-        self._frob_t = None
-        if self.order <= _EXP_LOG_CAP and m > 1:
-            self._build_exp_log()
-        if self.order <= _FULL_TABLE_CAP:
+        self._exp = self._log = self._zech = None
+        if self.order <= _TABLE_CAP:
             self._build_tables()
 
+        # Tr(y^j) for each monomial y^j = code p^j; the trace is F_p-linear
         tr = []
         for j in range(m):
-            x = self.from_coeffs(tuple(1 if t == j else 0 for t in range(m)))
             s = 0
             for i in range(m):
-                s = self.add(s, self.frobenius(x, i))
+                s = self.add(s, self.frobenius(p**j, i))
             if s >= p:
                 raise AssertionError("trace of a monomial left the base field")
             tr.append(s)
@@ -246,35 +227,42 @@ class FieldTower:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        p = self.p
-        return self.from_coeffs((x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        if log is None:
+            p = self.p
+            return self.from_coeffs((x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a: int) -> int:
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        p = self.p
-        return self.from_coeffs((-x) % p for x in self.coeffs(a))
+        log = self._log
+        if log is None:
+            p = self.p
+            return self.from_coeffs((-x) % p for x in self.coeffs(a))
+        return self._exp[log[a] + self._log_minus_one]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        log = self._log
+        if log is None:
+            return self._mul_poly(a, b)
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self.pow(a, self.order - 2)
+        log = self._log
+        if log is None:
+            return self.pow(a, self.order - 2)
+        return self._exp[self._n - log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -293,10 +281,12 @@ class FieldTower:
 
     def frobenius(self, x: int, i: int = 1) -> int:
         """x raised to the power p^i; the exponent is reduced mod m."""
-        i %= self.m
-        if self._frob_t is not None:
-            return self._frob_t[i][x]
-        return self.from_coeffs(self._apply_fp_matrix(self.coeffs(x), self._frob_mats[i]))
+        log = self._log
+        if log is None:
+            return self.pow(x, self.p ** (i % self.m))
+        if not x:
+            return 0
+        return self._exp[log[x] * self._frob_exp[i % self.m] % self._n]
 
     def trace(self, x: int) -> int:
         """Trace down to F_p; the result is a code below p."""
@@ -306,106 +296,82 @@ class FieldTower:
             s = (s + c * t) % p
         return s
 
-    # -- internals -----------------------------------------------------
+    # -- rows ----------------------------------------------------------
 
-    def _shift_reduce(self, coeffs: Poly) -> Poly:
-        """Multiply an m-vector (a poly of degree < m) by y and reduce."""
-        p, m = self.p, self.m
-        carry = coeffs[m - 1]
-        out = [0] + list(coeffs[: m - 1])
-        if carry:
-            top = tuple((-c) % p for c in self.modulus[:m])
-            out = [(o + carry * t) % p for o, t in zip(out, top)]
-        return tuple(out)
+    def scale(self, c: int, x: Sequence[int]) -> list:
+        """The row c*x, as a new list."""
+        log = self._log
+        if log is None:
+            mul = self._mul_poly
+            return [mul(c, b) for b in x]
+        exp = self._exp
+        lc = log[c]
+        return [exp[lc + log[b]] for b in x]
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:m]
-        for j in range(m - 1):
-            c = prod[m + j]
-            if c:
-                row = self._reduction_rows[j]
-                out = [(o + c * r) % p for o, r in zip(out, row)]
-        return self.from_coeffs(out)
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
+    def axpy(self, y: Sequence[int], c: int, x: Sequence[int]) -> list:
+        """The row y + c*x, as a new list; y and x have the same length."""
+        log = self._log
+        if log is None:
+            add, mul = self.add, self._mul_poly
+            return [add(a, mul(c, b)) for a, b in zip(y, x)]
+        exp = self._exp
+        lc = log[c]
+        if self.p == 2:
+            return [a ^ exp[lc + log[b]] for a, b in zip(y, x)]
+        if not c:
+            return list(y)
+        zech = self._zech
+        out = []
+        for a, b in zip(y, x):
+            if not b:
+                out.append(a)
+            elif not a:
+                out.append(exp[lc + log[b]])
+            else:
+                la = log[a]
+                out.append(exp[la + zech[lc + log[b] - la]])
         return out
 
-    def _apply_fp_matrix(self, vec: Sequence[int], mat: Sequence[Poly]) -> Poly:
-        # row vector times matrix over F_p
-        p = self.p
-        out = [0] * len(mat[0])
-        for c, row in zip(vec, mat):
-            if c:
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        return tuple(o % p for o in out)
+    # -- internals -----------------------------------------------------
 
-    def _build_exp_log(self):
-        order = self.order
-        for g in range(2, order):
-            seen = 1
-            exp = [1]
-            x = g
-            while x != 1:
-                exp.append(x)
-                x = self._mul_raw(x, g)
-                seen += 1
-                if seen > order:
-                    raise AssertionError("multiplication is broken")
-            if len(exp) == order - 1:
-                log = [0] * order
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp = exp + exp  # doubled to skip a mod in mul
-                self._log = log
-                return
-        raise AssertionError("no primitive element found")
+    def _mul_poly(self, a: int, b: int) -> int:
+        """a*b as the product of the polynomials, reduced mod the modulus."""
+        p = self.p
+        cb = self.coeffs(b)
+        prod = [0] * (2 * self.m - 1)
+        for i, x in enumerate(self.coeffs(a)):
+            if x:
+                for j, y in enumerate(cb):
+                    prod[i + j] += x * y
+        return self.from_coeffs(_poly_mod([c % p for c in prod], self.modulus, p))
 
     def _build_tables(self):
-        order, p, m = self.order, self.p, self.m
-        digs = [self.coeffs(x) for x in range(order)]
-        add_t = []
-        neg_t = [self.from_coeffs((-c) % p for c in digs[x]) for x in range(order)]
-        for a in range(order):
-            da = digs[a]
-            add_t.append([self.from_coeffs((x + y) % p for x, y in zip(da, digs[b]))
-                          for b in range(order)])
-        self._add_t = add_t
-        self._neg_t = neg_t
-        if m == 1:
-            self._mul_t = [[(a * b) % p for b in range(order)] for a in range(order)]
-            self._inv_t = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+        """The antilog, log and (odd p) Zech tables; see the module docstring."""
+        p, order = self.p, self.order
+        n = order - 1
+        for g in range(1, order):
+            cycle = [1]
+            x = g
+            while x != 1:
+                cycle.append(x)
+                x = self._mul_poly(x, g)
+                if len(cycle) > n:
+                    raise AssertionError("multiplication is broken")
+            if len(cycle) == n:
+                break
         else:
-            exp, log = self._exp, self._log
-            mul_t = [[0] * order]
-            for a in range(1, order):
-                la = log[a]
-                row = [0] * order
-                for b in range(1, order):
-                    row[b] = exp[la + log[b]]
-                mul_t.append(row)
-            self._mul_t = mul_t
-            self._inv_t = [0] + [exp[(order - 1) - log[a] if log[a] else 0] for a in range(1, order)]
-        frob_t = []
-        for i in range(m):
-            mat = self._frob_mats[i]
-            frob_t.append([self.from_coeffs(self._apply_fp_matrix(digs[x], mat)) for x in range(order)])
-        self._frob_t = frob_t
+            raise AssertionError("no primitive element found")
+        log = [2 * n] * order
+        for i, v in enumerate(cycle):
+            log[v] = i
+        self._n = n
+        self._exp = cycle + cycle + [0] * (2 * n + 1)
+        self._log = log
+        self._log_minus_one = log[p - 1]  # the code p - 1 is -1
+        self._frob_exp = tuple(p**i % n for i in range(self.m))
+        if p != 2:
+            # x + 1 changes only the lowest base-p digit of x
+            self._zech = [log[x - x % p + (x + 1) % p] for x in cycle] * 2
 
     # -- identity ------------------------------------------------------
 

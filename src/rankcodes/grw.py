@@ -117,6 +117,8 @@ def _closed_cost(code: LinearCode) -> int:
 def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
                     method: str = "auto") -> Tuple[List[int], str]:
     """Exact table (d_{R,1}, ..., d_{R,k}) plus the oracle tag used."""
+    if method not in ("auto", "subcodes", "closed"):
+        raise ValueError(f"unknown oracle method {method!r}")
     if code.k == 0:
         return [], "oracle-subcode"
     if method == "auto":
@@ -124,9 +126,7 @@ def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
     if method == "subcodes":
         table = [grw_exact_subcodes(code, r, budget) for r in range(1, code.k + 1)]
         return table, "oracle-subcode"
-    if method == "closed":
-        return _closed_space_table(code, code.k, budget), "oracle-closed-space"
-    raise ValueError(f"unknown oracle method {method!r}")
+    return _closed_space_table(code, code.k, budget), "oracle-closed-space"
 
 
 def _closed_space_table(code: LinearCode, r: int, budget: int) -> List[int]:
@@ -226,7 +226,8 @@ def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET,
         singleton = n - k + r
         upper = min(up_raw[r], singleton)
         lower = low[r]
-        assert lower <= upper, "bounds crossed; this is a bug"
+        if lower > upper:
+            raise AssertionError(f"bounds crossed at r={r}: lower {lower} > upper {upper}")
         exact = lower if lower == upper else None
         if cart:
             method = "cartesian-corollary"

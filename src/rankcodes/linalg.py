@@ -17,8 +17,6 @@ import hashlib
 import itertools
 from typing import Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from .errors import BudgetError
 
 Row = List[int]
@@ -51,7 +49,7 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, tower) -> tuple[Rows, List[i
     space iff their nonzero RREF rows agree.
     """
     R = copy_rows(rows)
-    mul, sub, inv = tower.mul, tower.sub, tower.inv
+    axpy, scale, neg, inv = tower.axpy, tower.scale, tower.neg, tower.inv
     pivots: List[int] = []
     r = 0
     nrows = len(R)
@@ -61,14 +59,12 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, tower) -> tuple[Rows, List[i
             continue
         R[r], R[piv] = R[piv], R[r]
         head = R[r]
-        scale = inv(head[col])
-        if scale != 1:
-            R[r] = head = [mul(scale, x) for x in head]
+        if head[col] != 1:
+            R[r] = head = scale(inv(head[col]), head)
         for i in range(nrows):
-            if i != r and R[i][col]:
-                f = R[i][col]
-                row = R[i]
-                R[i] = [sub(x, mul(f, h)) for x, h in zip(row, head)]
+            f = R[i][col]
+            if f and i != r:
+                R[i] = axpy(R[i], neg(f), head)
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -105,38 +101,23 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, tower) -> Rows:
 
 
 def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], tower) -> Rows:
-    mul, add = tower.mul, tower.add
     ncols = len(B[0]) if B else 0
-    out = []
-    for arow in A:
-        acc = [0] * ncols
-        for a, brow in zip(arow, B):
-            if a:
-                acc = [add(x, mul(a, b)) for x, b in zip(acc, brow)]
-        out.append(acc)
-    return out
+    return [vec_mat(arow, B, ncols, tower) for arow in A]
 
 
 def vec_mat(x: Sequence[int], rows: Sequence[Sequence[int]], ncols: int, tower) -> Row:
     """Row vector times matrix."""
-    mul, add = tower.mul, tower.add
+    axpy = tower.axpy
     acc = [0] * ncols
     for xi, row in zip(x, rows):
         if xi:
-            acc = [add(a, mul(xi, r)) for a, r in zip(acc, row)]
+            acc = axpy(acc, xi, row)
     return acc
 
 
 def mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int], tower) -> Row:
-    mul, add = tower.mul, tower.add
-    out = []
-    for row in rows:
-        acc = 0
-        for r, xi in zip(row, x):
-            if r and xi:
-                acc = add(acc, mul(r, xi))
-        out.append(acc)
-    return out
+    """Matrix times column vector: the columns of rows weighted by x."""
+    return vec_mat(x, transpose(rows, len(x)), len(rows), tower)
 
 
 def intersect_dim(U: Sequence[Sequence[int]], W: Sequence[Sequence[int]],
@@ -187,18 +168,19 @@ def solve_affine(M: Sequence[Sequence[int]], ncols: int, b: Sequence[int], tower
         return x0
     rng = rng_stream(seed, label)
     coeffs = [int(c) for c in rng.integers(0, tower.order, size=len(kern))]
-    add = tower.add
-    shift = vec_mat(coeffs, kern, ncols, tower)
-    return [add(a, s) for a, s in zip(x0, shift)]
+    return tower.axpy(x0, 1, vec_mat(coeffs, kern, ncols, tower))
 
 
-def rng_stream(seed: int, label: str = "") -> np.random.Generator:
+def rng_stream(seed: int, label: str = "") -> "numpy.random.Generator":
     """Counter-based generator for the (seed, stream-label) pair.
 
     Philox streams keyed by a hash of the pair are independent and
     reproducible across platforms, so parallel workers can draw from
-    disjoint labels without coordination.
+    disjoint labels without coordination.  numpy is imported here, on the
+    first seeded draw, so runs without a seed never load it.
     """
+    import numpy as np
+
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))

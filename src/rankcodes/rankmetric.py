@@ -21,8 +21,9 @@ from . import linalg
 
 def matrix_rep(tower, vec: Sequence[int]) -> List[List[int]]:
     """m x n coordinate matrix of vec in the alpha-basis (entries in F_p)."""
-    cols = [tower._apply_fp_matrix(tower.coeffs(c), tower.basis_inv) for c in vec]
-    return [[col[i] for col in cols] for i in range(tower.m)]
+    m = tower.m
+    cols = [linalg.vec_mat(tower.coeffs(c), tower.basis_inv, m, tower) for c in vec]
+    return [[col[i] for col in cols] for i in range(m)]
 
 
 def rank_weight(tower, vec: Sequence[int]) -> int:
@@ -39,11 +40,6 @@ def vector_trace(tower, vec: Sequence[int]) -> List[int]:
     """Componentwise trace down to F_q^n."""
     tr = tower.trace
     return [tr(c) for c in vec]
-
-
-def vector_scale(tower, beta: int, vec: Sequence[int]) -> List[int]:
-    mul = tower.mul
-    return [mul(beta, c) for c in vec]
 
 
 def closure_basis_ext(tower, rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
@@ -101,11 +97,11 @@ def galois_closure(tower, rows: Sequence[Sequence[int]], ncols: int) -> GaloisCl
     the fixed space of any Frobenius-stable space.
     """
     ext = closure_basis_ext(tower, rows, ncols)
+    poly_basis = [tower.from_coeffs(e) for e in linalg.identity(tower.m)]
     candidates = []
     for w in ext:
-        for i in range(tower.m):
-            beta = tower.from_coeffs(tuple(1 if t == i else 0 for t in range(tower.m)))
-            candidates.append(vector_trace(tower, vector_scale(tower, beta, w)))
+        for beta in poly_basis:
+            candidates.append(vector_trace(tower, tower.scale(beta, w)))
     reduced = linalg.rref_nonzero(candidates, ncols, tower) if candidates else []
     if len(reduced) != len(ext):
         raise AssertionError("fixed-space extraction lost dimensions")

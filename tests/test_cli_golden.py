@@ -1,8 +1,10 @@
 """Byte-exact golden transcript of the README's CLI session.
 
 The commands below are the README's CLI section in order, plus a
-closed-space ``grw exact`` on Gabidulin [6,3] over F_64 and the
-``check mrd-rank`` / ``check degenerate`` reports on ``red.code``.  Each
+closed-space ``grw exact`` on Gabidulin [6,3] over F_64, the
+``check mrd-rank`` / ``check degenerate`` reports on ``red.code``, and
+Gabidulin codes over F_27 (odd characteristic) and F_2048 (a tower too
+large for tables of order squared) with their weights and dual.  Each
 transcript block holds the command, its stdout, its exit code and, for
 ``-o`` commands, the file it wrote.  The expected transcript lives in
 ``cli_golden.txt`` next to this file; after a deliberate output change,
@@ -52,6 +54,11 @@ COMMANDS = [
     "grw exact --input g63.code --method closed",
     "check mrd-rank --input red.code",
     "check degenerate --input red.code",
+    "construct gabidulin --p 3 --m 3 --n 3 --k 2 -o g33.code",
+    "grw exact --input g33.code",
+    "dual --input g33.code",
+    "construct gabidulin --p 2 --m 11 --n 4 --k 2 -o g11.code",
+    "grw exact --input g11.code --method closed",
 ]
 
 

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankcodes import FieldTower, check_irreducible, default_modulus
+from rankcodes import FieldTower, check_irreducible, default_modulus, field
 
 TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
 
@@ -150,3 +151,89 @@ def test_tower_equality_and_hash():
     assert FieldTower(2, 2) == FieldTower(2, 2)
     assert hash(FieldTower(2, 2)) == hash(FieldTower(2, 2))
     assert FieldTower(2, 2) != FieldTower(3, 2)
+
+
+# -- differential tests: tables against polynomial arithmetic and sympy -------------
+
+# F_2 (primitive element 1), F_4, F_25, F_243, F_2048 and F_2187: both
+# characteristics, on both sides of 1,024 elements.  The first three are
+# checked exhaustively, the others on seeded samples.
+DIFF_TOWERS = [(2, 1), (2, 2), (5, 2), (3, 5), (2, 11), (3, 7)]
+EXHAUSTIVE = {(2, 1), (2, 2), (5, 2)}
+
+
+@pytest.fixture(scope="module")
+def tabulated_and_polynomial():
+    """Each tower twice: with tables, and built under a table cap of 1,
+    so that every operation is polynomial arithmetic."""
+    tab = {pm: FieldTower(*pm) for pm in DIFF_TOWERS}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_TABLE_CAP", 1)
+        poly = {pm: FieldTower(*pm) for pm in DIFF_TOWERS}
+    return [(tab[pm], poly[pm]) for pm in DIFF_TOWERS]
+
+
+def _pairs(t):
+    if (t.p, t.m) in EXHAUSTIVE:
+        return list(itertools.product(t.elements(), repeat=2))
+    rng = random.Random(f"field-diff:{t.p}:{t.m}")
+    pairs = [(rng.randrange(t.order), rng.randrange(t.order)) for _ in range(300)]
+    return pairs + [(0, 0), (0, 1), (1, 0), (t.order - 1, 0), (0, t.p - 1), (1, t.p - 1)]
+
+
+def _rows(t):
+    """Rows (y, c, x) with zeros in both rows, including c = 0 and c = 1."""
+    rng = random.Random(f"field-rows:{t.p}:{t.m}")
+    pick = [0, 1, t.p - 1] + [rng.randrange(t.order) for _ in range(5)]
+    out = []
+    for c in [0, 1, t.p - 1] + [rng.randrange(1, t.order) for _ in range(20)]:
+        y = [rng.choice(pick) for _ in range(9)]
+        x = [rng.choice(pick) for _ in range(9)]
+        out.append((y, c, x))
+    return out
+
+
+def test_tables_match_polynomial_arithmetic(tabulated_and_polynomial):
+    for tab, poly in tabulated_and_polynomial:
+        for a, b in _pairs(tab):
+            for op in ("add", "sub", "mul"):
+                assert getattr(tab, op)(a, b) == getattr(poly, op)(a, b), (tab, op, a, b)
+        for a in (tab.elements() if (tab.p, tab.m) in EXHAUSTIVE else {a for a, _ in _pairs(tab)}):
+            assert tab.neg(a) == poly.neg(a), (tab, a)
+            assert tab.trace(a) == poly.trace(a), (tab, a)
+            for i in range(-1, tab.m + 1):
+                assert tab.frobenius(a, i) == poly.frobenius(a, i), (tab, a, i)
+            if a:
+                assert tab.inv(a) == poly.inv(a), (tab, a)
+        for y, c, x in _rows(tab):
+            expect = [poly.add(a, poly.mul(c, b)) for a, b in zip(y, x)]
+            assert tab.axpy(y, c, x) == poly.axpy(y, c, x) == expect, (tab, c)
+            assert tab.scale(c, x) == poly.scale(c, x) == [poly.mul(c, b) for b in x], (tab, c)
+
+
+def test_tables_match_sympy_galoistools(tabulated_and_polynomial):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import (gf_add, gf_gcdex, gf_mul, gf_neg, gf_pow_mod,
+                                         gf_rem, gf_strip, gf_sub)
+
+    for t, _ in tabulated_and_polynomial:
+        p, m = t.p, t.m
+        g = [int(c) for c in reversed(t.modulus)]  # leading coefficient first
+
+        def to_gf(x):
+            return gf_strip(list(reversed(t.coeffs(x))))
+
+        def from_gf(f):
+            return t.from_coeffs(reversed(gf_rem(f, g, p, ZZ)))
+
+        for a, b in _pairs(t):
+            fa, fb = to_gf(a), to_gf(b)
+            assert t.add(a, b) == from_gf(gf_add(fa, fb, p, ZZ))
+            assert t.sub(a, b) == from_gf(gf_sub(fa, fb, p, ZZ))
+            assert t.mul(a, b) == from_gf(gf_mul(fa, fb, p, ZZ))
+            assert t.neg(a) == from_gf(gf_neg(fa, p, ZZ))
+            assert t.frobenius(a, b % m) == from_gf(gf_pow_mod(fa, p ** (b % m), g, p, ZZ))
+            if a:
+                s, _, h = gf_gcdex(fa, g, p, ZZ)
+                assert h == [1] and t.inv(a) == from_gf(s)

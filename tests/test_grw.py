@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
@@ -11,7 +14,7 @@ from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
 from rankcodes.rankmetric import closure_dim
 from rankcodes import codes as codes_mod
 
-from conftest import random_full_rank
+from conftest import random_full_rank, src_env
 
 
 # -- oracles -----------------------------------------------------------------
@@ -55,6 +58,9 @@ def test_oracle_validation(f4):
         grw_exact_subcodes(code, 0)
     with pytest.raises(ValueError):
         grw_exact_closed_spaces(code, 2)
+    for c in (code, LinearCode(f4, 2, [])):  # k = 1 and k = 0
+        with pytest.raises(ValueError, match="unknown oracle method"):
+            grw_table_exact(c, method="bogus")
 
 
 # -- min-plus bounds -----------------------------------------------------------
@@ -94,6 +100,26 @@ def test_bounds_sandwich_and_example1_cases(f8):
         # k_2 < r <= k: Singleton-optimal
         assert rep.entries[2].exact == R.n - R.k + 3
         assert exact[1] == 3 and exact[2] == 5
+
+
+_CROSSED = """
+from rankcodes import FieldTower, cartesian, gabidulin, grw_bounds_reducible
+
+f4 = FieldTower(2, 2)
+R = cartesian([gabidulin(f4, 2, 1), gabidulin(f4, 2, 1)])
+try:
+    grw_bounds_reducible(R, main_tables=[[5], [5]], row_tables=[[1], [1]])
+except AssertionError as exc:
+    print("debug" if __debug__ else "optimized", "raised:", exc)
+"""
+
+
+def test_bounds_crossing_check_survives_optimize():
+    # under -O a bare assert would vanish and lower > upper would be reported
+    res = subprocess.run([sys.executable, "-O", "-c", _CROSSED],
+                         env=src_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("optimized raised: bounds crossed at r=1")
 
 
 def test_bounds_report_flags(f4):

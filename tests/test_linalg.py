@@ -1,9 +1,13 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankcodes import BudgetError, FieldTower, linalg
+
+from conftest import src_env
 
 F2 = FieldTower(2, 1)
 
@@ -104,6 +108,24 @@ def test_rng_streams_deterministic_and_split():
     b = linalg.rng_stream(7, "x").integers(0, 1000, size=5).tolist()
     c = linalg.rng_stream(7, "y").integers(0, 1000, size=5).tolist()
     assert a == b and a != c
+
+
+_LAZY_NUMPY = """
+import sys
+import rankcodes.cli
+from rankcodes import FieldTower, codes
+print("numpy" in sys.modules)
+f4 = FieldTower(2, 2)
+codes.reducible([codes.gabidulin(f4, 2, 1), codes.gabidulin(f4, 2, 1)], seed=1)
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_seeded_draws():
+    res = subprocess.run([sys.executable, "-c", _LAZY_NUMPY],
+                         env=src_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]
 
 
 @st.composite

@@ -80,7 +80,7 @@ def test_weight_invariance_under_scaling_and_column_ops(f8):
         vec = [int(v) for v in rng.integers(0, 8, size=3)]
         w = rank_weight(f8, vec)
         for beta in range(1, 8):
-            assert rank_weight(f8, rankmetric.vector_scale(f8, beta, vec)) == w
+            assert rank_weight(f8, f8.scale(beta, vec)) == w
         while True:
             P = [[int(v) for v in rng.integers(0, 2, size=3)] for _ in range(3)]
             if linalg.rank(P, 3, f8) == 3:
