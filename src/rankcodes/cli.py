@@ -155,7 +155,8 @@ def build_parser() -> _Parser:
     for name in ("mrd", "degenerate", "product", "mrd-rank"):
         p = c.add_parser(name)
         p.add_argument("--input", required=True)
-        add_budget(p)
+        if name.startswith("mrd"):
+            add_budget(p)
 
     p = sub.add_parser("dual")
     p.add_argument("--input", required=True)
@@ -168,7 +169,6 @@ def build_parser() -> _Parser:
     add_budget(p)
     p = e.add_parser("product-test")
     p.add_argument("--input", required=True)
-    add_budget(p)
 
     w = sub.add_parser("wiretap", help="leakage computations").add_subparsers(
         dest="what", required=True)
@@ -299,7 +299,7 @@ def _cmd_equiv(args) -> int:
         if not isinstance(obj, codes.Reduction):
             raise _CliError("equiv product-test needs a reduction (blocks line)")
         parts = [obj.row_component(i) for i in range(obj.l) if obj.dims[i]]
-        result = equivalence.product_characterization(parts, args.budget)
+        result = equivalence.product_characterization(parts)
         print(f"equivalent_to_product={'true' if result.equivalent else 'false'} "
               f"deficiency={result.deficiency}")
         if result.witness is not None:

@@ -19,7 +19,16 @@ from .linalg import DEFAULT_BUDGET
 
 
 class LinearCode:
-    """An F_{q^m}-linear code given by a full-rank generator matrix."""
+    """An F_{q^m}-linear code given by a full-rank generator matrix.
+
+    The RREF of the generator, which the rank check at construction
+    computes anyway, is kept as ``rref``: two codes are equal exactly when
+    these agree.  The transposed parity check Hᵀ (H the RREF basis of the
+    dual) is read off it on first use and cached, and every question about
+    membership and intersection goes through it: v is in C iff v·Hᵀ = 0,
+    and dim(C ∩ V) = rank(V) − rank(V·Hᵀ), so no caller re-eliminates the
+    generator stacked with the vectors it asks about.
+    """
 
     def __init__(self, tower: FieldTower, n: int, rows: Sequence[Sequence[int]]):
         if n < 1:
@@ -31,19 +40,25 @@ class LinearCode:
             for x in row:
                 if not 0 <= x < tower.order:
                     raise ValueError(f"scalar code {x} out of range for the tower")
-        if linalg.rank(G, n, tower) != len(G):
+        reduced, pivots = linalg.rref(G, n, tower)
+        if len(pivots) != len(G):
             raise ValueError("generator matrix is rank deficient")
         self.tower = tower
         self.n = n
         self.G = G
         self.k = len(G)
-        self._rref: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self.rref = tuple(tuple(r) for r in reduced)
+        self._Ht: Optional[List[List[int]]] = None
 
-    def rref_generator(self) -> Tuple[Tuple[int, ...], ...]:
-        if self._rref is None:
-            reduced = linalg.rref_nonzero(self.G, self.n, self.tower)
-            self._rref = tuple(tuple(r) for r in reduced)
-        return self._rref
+    def _parity_t(self) -> List[List[int]]:
+        if self._Ht is None:
+            self._Ht = linalg.transpose(linalg.kernel(self.rref, self.n, self.tower), self.n)
+        return self._Ht
+
+    def _syndrome(self, vec: Sequence[int]) -> List[int]:
+        if len(vec) != self.n:
+            raise ValueError("vector length differs from the code length")
+        return linalg.vec_mat(vec, self._parity_t(), self.n - self.k, self.tower)
 
     def codeword(self, x: Sequence[int]) -> Tuple[int, ...]:
         if len(x) != self.k:
@@ -58,14 +73,19 @@ class LinearCode:
             yield self.codeword(x)
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.tower, self.n, linalg.kernel(self.G, self.n, self.tower))
+        return LinearCode(self.tower, self.n, linalg.transpose(self._parity_t(), self.n - self.k))
 
     def equals(self, other: "LinearCode") -> bool:
-        return (self.tower == other.tower and self.n == other.n
-                and self.rref_generator() == other.rref_generator())
+        return self.tower == other.tower and self.n == other.n and self.rref == other.rref
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        return linalg.in_rowspace(vec, self.G, self.n, self.tower)
+        return not any(self._syndrome(vec))
+
+    def intersection_dim(self, rows: Sequence[Sequence[int]]) -> int:
+        """dim(C ∩ V) for V the row space of ``rows``."""
+        syndromes = [self._syndrome(row) for row in rows]
+        return (linalg.rank(rows, self.n, self.tower)
+                - linalg.rank(syndromes, self.n - self.k, self.tower))
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.tower.order})"
@@ -295,7 +315,7 @@ def dual_reduction(R: Reduction) -> DualReduction:
     """Structured dual: block-lower-triangular generator of C-perp whose
     diagonal blocks generate the duals of the main components.
 
-    Row group i is built from a kernel basis of G_{i,i}; the blocks to the
+    Row group i is built from the dual of main component i; the blocks to the
     left are particular solutions peeled off one block column at a time.
     """
     tower = R.tower
@@ -304,8 +324,7 @@ def dual_reduction(R: Reduction) -> DualReduction:
     blocks: Dict[Tuple[int, int], List[List[int]]] = {
         (i, j): [] for i in range(l) for j in range(i + 1)}
     for i in range(l):
-        ker = linalg.kernel(R.block(i, i), R.lengths[i], tower)
-        for v in ker:
+        for v in R.main_component(i).dual().G:
             parts: Dict[int, List[int]] = {i: list(v)}
             for a in range(i - 1, -1, -1):
                 rhs = [0] * R.dims[a]
@@ -320,9 +339,7 @@ def dual_reduction(R: Reduction) -> DualReduction:
                 blocks[(i, j)].append(parts[j])
     dual_dims = [R.lengths[i] - R.dims[i] for i in range(l)]
     out = DualReduction(tower, R.lengths, dual_dims, blocks)
-    expected = linalg.kernel(R.code().G, R.n, tower)
-    got = out.generator()
-    if not linalg.rowspace_equal(got, expected, R.n, tower):
+    if not linalg.rowspace_equal(out.generator(), R.code().dual().G, R.n, tower):
         raise AssertionError("structured dual does not match the kernel")
     return out
 
@@ -684,9 +701,34 @@ def format_code_file(obj) -> str:
     ]
     if blocks_line:
         lines.append(blocks_line)
-    for row in rows:
-        lines.append("row " + " ".join(tower.format_scalar(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _format_rows(tower, rows)) + "\n"
+
+
+def _format_rows(tower: FieldTower, rows: Sequence[Sequence[int]]) -> List[str]:
+    return ["row " + " ".join(tower.format_scalar(x) for x in row) for row in rows]
+
+
+def _content_lines(text: str) -> List[Tuple[int, str]]:
+    """(line number, body) of each line left nonempty once its # comment is cut."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((lineno, body))
+    return lines
+
+
+def _parse_row(tower: FieldTower, lineno: int, body: str, n: int) -> List[int]:
+    """The n scalars of a `row` line."""
+    tokens = body.split()
+    if tokens[0] != "row":
+        raise CodeFileError(lineno, f"expected a row line, got {tokens[0]!r}")
+    if len(tokens) != n + 1:
+        raise CodeFileError(lineno, f"row has {len(tokens) - 1} entries, expected {n}")
+    try:
+        return [tower.parse_scalar(tok) for tok in tokens[1:]]
+    except ValueError as exc:
+        raise CodeFileError(lineno, str(exc)) from None
 
 
 def _split_kv(lineno: int, token: str, key: str) -> str:
@@ -712,11 +754,7 @@ def parse_code_file(text: str):
     Parsing is strict: wrong arities, unreduced digits and zero-pattern
     violations are hard errors carrying the offending line number.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
+    lines = _content_lines(text)
     if not lines:
         raise CodeFileError(0, "empty code file")
 
@@ -774,15 +812,7 @@ def parse_code_file(text: str):
         if idx >= len(lines):
             raise CodeFileError(lines[-1][0], f"expected {k} rows, found {len(rows)}")
         lineno, body = lines[idx]
-        tokens = body.split()
-        if tokens[0] != "row":
-            raise CodeFileError(lineno, f"expected a row line, got {tokens[0]!r}")
-        if len(tokens) != n + 1:
-            raise CodeFileError(lineno, f"row has {len(tokens) - 1} entries, expected {n}")
-        try:
-            rows.append([tower.parse_scalar(tok) for tok in tokens[1:]])
-        except ValueError as exc:
-            raise CodeFileError(lineno, str(exc)) from None
+        rows.append(_parse_row(tower, lineno, body, n))
         row_linenos.append(lineno)
         idx += 1
     if idx != len(lines):

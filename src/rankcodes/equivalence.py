@@ -186,8 +186,7 @@ class ProductCharacterization:
     product: Optional[Reduction]
 
 
-def product_characterization(parts: Sequence[LinearCode],
-                             budget: int = DEFAULT_BUDGET) -> ProductCharacterization:
+def product_characterization(parts: Sequence[LinearCode]) -> ProductCharacterization:
     """Decide whether a direct sum decomposition makes the code rank
     equivalent to the cartesian product of its summands.
 

@@ -349,18 +349,13 @@ class FieldTower:
         """The antilog, log and (odd p) Zech tables; see the module docstring."""
         p, order = self.p, self.order
         n = order - 1
-        for g in range(1, order):
-            cycle = [1]
-            x = g
-            while x != 1:
-                cycle.append(x)
-                x = self._mul_poly(x, g)
-                if len(cycle) > n:
-                    raise AssertionError("multiplication is broken")
-            if len(cycle) == n:
-                break
-        else:
-            raise AssertionError("no primitive element found")
+        # g is primitive iff g^(n/r) != 1 for every prime r dividing n; the
+        # generator is the smallest such code
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        g = next(g for g in range(1, order) if all(self.pow(g, n // r) != 1 for r in primes))
+        cycle = [1]
+        for _ in range(n - 1):
+            cycle.append(self._mul_poly(cycle[-1], g))
         log = [2 * n] * order
         for i, v in enumerate(cycle):
             log[v] = i

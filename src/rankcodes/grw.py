@@ -133,14 +133,13 @@ def _closed_space_table(code: LinearCode, r: int, budget: int) -> List[int]:
     """Weights d_{R,1} .. d_{R,r}: scans dimensions upward, leaves a
     dimension at the first space meeting the code in dimension r, and
     stops once entry r is filled."""
-    tower = code.tower
-    G = [list(row) for row in code.G]
+    p = code.tower.p
     table: List[int] = []
     remaining = budget
     for d in range(1, code.n + 1):
         best_inter = 0
-        for basis in linalg.subspace_bases(code.n, d, range(tower.p), remaining):
-            inter = code.k + d - linalg.rank(G + basis, code.n, tower)
+        for basis in linalg.subspace_bases(code.n, d, range(p), remaining):
+            inter = code.intersection_dim(basis)
             if inter > best_inter:
                 best_inter = inter
                 if best_inter >= r:
@@ -148,7 +147,7 @@ def _closed_space_table(code: LinearCode, r: int, budget: int) -> List[int]:
         table.extend([d] * (min(best_inter, r) - len(table)))
         if len(table) == r:
             return table
-        remaining -= gaussian_binomial(code.n, d, tower.p)
+        remaining -= gaussian_binomial(code.n, d, p)
     raise AssertionError("the full space always meets the code")  # unreachable
 
 

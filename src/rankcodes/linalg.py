@@ -9,6 +9,10 @@ row operations used here).
 
 Subspace enumeration yields each subspace exactly once as its unique
 reduced row echelon basis, fenced by an explicit budget.
+
+Membership in a code and dim(C ∩ V) are not computed here by stacking
+rows: :class:`~rankcodes.codes.LinearCode` answers both from its cached
+parity check.
 """
 
 from __future__ import annotations
@@ -118,24 +122,6 @@ def vec_mat(x: Sequence[int], rows: Sequence[Sequence[int]], ncols: int, tower) 
 def mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int], tower) -> Row:
     """Matrix times column vector: the columns of rows weighted by x."""
     return vec_mat(x, transpose(rows, len(x)), len(rows), tower)
-
-
-def intersect_dim(U: Sequence[Sequence[int]], W: Sequence[Sequence[int]],
-                  ncols: int, tower) -> int:
-    """Dimension of rowspace(U) intersected with rowspace(W)."""
-    for rows in (U, W):
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ambient dimension mismatch")
-    ru = rank(U, ncols, tower)
-    rw = rank(W, ncols, tower)
-    rs = rank(list(U) + list(W), ncols, tower)
-    return ru + rw - rs
-
-
-def in_rowspace(v: Sequence[int], rows: Sequence[Sequence[int]], ncols: int, tower) -> bool:
-    base = rank(rows, ncols, tower)
-    return rank(list(rows) + [list(v)], ncols, tower) == base
 
 
 def rowspace_equal(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],

@@ -80,7 +80,7 @@ class GaloisClosedSpace:
         return cls(tower, n, tuple(tuple(r) for r in reduced))
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return linalg.in_rowspace(vec, list(self.basis), self.n, self.tower)
+        return linalg.rank(self.basis + (tuple(vec),), self.n, self.tower) == self.dim
 
     def project(self, start: int, stop: int) -> "GaloisClosedSpace":
         """Coordinate projection onto columns [start, stop); still closed."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .codes import LinearCode, Reduction
+from .codes import LinearCode, Reduction, _content_lines, _format_rows, _parse_row
 from .errors import BudgetError, CodeFileError, HypothesisError
 from .grw import grw_table_exact
 from .linalg import DEFAULT_BUDGET
@@ -73,9 +73,8 @@ def leakage_exact(code: LinearCode, B_rows: Sequence[Sequence[int]],
     how many packets an adversary with this many links can obtain in the
     worst case over all choices of B.
     """
-    tower = code.tower
-    _check_wiretap_rows(tower, B_rows, code.n)
-    leak = linalg.intersect_dim(code.G, list(B_rows), code.n, tower)
+    _check_wiretap_rows(code.tower, B_rows, code.n)
+    leak = code.intersection_dim(B_rows)
     worst = None
     if table is not None:
         mu = len(B_rows)
@@ -262,19 +261,12 @@ def copt_full_block_bound(R: Reduction, V: GaloisClosedSpace) -> int:
 
 
 def format_wiretap_file(tower, B_rows: Sequence[Sequence[int]]) -> str:
-    lines = [f"wiretap mu={len(B_rows)}"]
-    for row in B_rows:
-        lines.append("row " + " ".join(tower.format_scalar(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"wiretap mu={len(B_rows)}"] + _format_rows(tower, B_rows)) + "\n"
 
 
 def parse_wiretap_file(tower, text: str, n: int) -> List[List[int]]:
     """Parse `wiretap mu=<mu>` plus mu base-field rows in scalar syntax."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
+    lines = _content_lines(text)
     if not lines:
         raise CodeFileError(0, "empty wiretap file")
     lineno, body = lines[0]
@@ -289,15 +281,7 @@ def parse_wiretap_file(tower, text: str, n: int) -> List[List[int]]:
         raise CodeFileError(lineno, "mu must be nonnegative")
     rows: List[List[int]] = []
     for lineno, body in lines[1:]:
-        tokens = body.split()
-        if tokens[0] != "row":
-            raise CodeFileError(lineno, f"expected a row line, got {tokens[0]!r}")
-        if len(tokens) != n + 1:
-            raise CodeFileError(lineno, f"row has {len(tokens) - 1} entries, expected {n}")
-        try:
-            row = [tower.parse_scalar(tok) for tok in tokens[1:]]
-        except ValueError as exc:
-            raise CodeFileError(lineno, str(exc)) from None
+        row = _parse_row(tower, lineno, body, n)
         for x in row:
             if not tower.in_subfield(x):
                 raise CodeFileError(lineno, "wiretap entries must lie in F_q "

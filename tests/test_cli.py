@@ -68,6 +68,10 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert rc == 1
     rc, _, err = run(capsys, "check", "product", "--input", str(bad))
     assert rc == 1
+    good = tmp_path / "good.code"
+    good.write_text("field p=2 m=2 modulus=1,1,1\ncode n=2 k=1\nrow 1,0 0,0\n")
+    rc, _, err = run(capsys, "check", "degenerate", "--input", str(good), "--budget", "5")
+    assert rc == 1 and err.startswith("error:") and "--budget" in err
 
 
 def test_roundtrip_and_determinism(tmp_path, capsys):

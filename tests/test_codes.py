@@ -99,6 +99,39 @@ def test_dual_examples(f4):
     assert LinearCode(t1, 3, [[1, 1, 1]]).dual().k == 2
 
 
+def test_intersection_dim_examples(f4):
+    F2 = FieldTower(2, 1)
+    U = [[1, 0, 0], [0, 1, 0]]
+    code = LinearCode(f4, 3, U)
+    assert code.intersection_dim(U) == 2
+    assert code.intersection_dim([[0, 0, 1]]) == 0
+    assert code.intersection_dim([]) == 0
+    assert LinearCode(F2, 3, U).intersection_dim([[1, 1, 0]]) == 1
+    with pytest.raises(ValueError):
+        LinearCode(f4, 3, [[1, 0, 0]]).intersection_dim([[1, 0]])
+
+
+def test_intersection_and_membership_for_zero_and_full_codes(f4):
+    V = [[1, 2, 0], [0, 3, 1], [1, 1, 1]]
+    zero = LinearCode(f4, 3, [])
+    assert zero.intersection_dim(V) == 0
+    assert zero.contains_vector([0, 0, 0]) and not zero.contains_vector([0, 1, 0])
+    assert zero.dual().equals(LinearCode(f4, 3, linalg.identity(3)))
+    full = LinearCode(f4, 3, [[1, 1, 0], [0, 1, 0], [2, 0, 1]])
+    assert full.intersection_dim(V) == linalg.rank(V, 3, f4) == 2
+    assert full.contains_vector([3, 2, 1])
+    assert full.dual().k == 0
+
+
+def test_contains_vector(f4):
+    code = LinearCode(f4, 3, [[1, 2, 0], [0, 1, 1]])
+    assert code.contains_vector(code.codeword([3, 1]))
+    assert not code.contains_vector([0, 0, 1])
+    for bad in ([1, 2], [1, 2, 0, 0]):
+        with pytest.raises(ValueError):
+            code.contains_vector(bad)
+
+
 def test_structured_dual(f8):
     mains = [gabidulin(f8, 3, 1), gabidulin(f8, 2, 1), gabidulin(f8, 3, 2)]
     R = reducible(mains, seed=11)

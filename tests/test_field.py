@@ -155,10 +155,11 @@ def test_tower_equality_and_hash():
 
 # -- differential tests: tables against polynomial arithmetic and sympy -------------
 
-# F_2 (primitive element 1), F_4, F_25, F_243, F_2048 and F_2187: both
-# characteristics, on both sides of 1,024 elements.  The first three are
-# checked exhaustively, the others on seeded samples.
-DIFF_TOWERS = [(2, 1), (2, 2), (5, 2), (3, 5), (2, 11), (3, 7)]
+# F_2 (primitive element 1), F_4, F_25, F_243, F_2048, F_2187 and F_59049
+# (the largest odd-p tower with tables): both characteristics, on both
+# sides of 1,024 elements.  The first three are checked exhaustively, the
+# others on seeded samples.
+DIFF_TOWERS = [(2, 1), (2, 2), (5, 2), (3, 5), (2, 11), (3, 7), (3, 10)]
 EXHAUSTIVE = {(2, 1), (2, 2), (5, 2)}
 
 

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
                        build_c_opt, cartesian, decompose_by_blocks, dual_grw_upper,
@@ -368,3 +369,26 @@ def test_exact_tables_satisfy_sharp_bounds(f4, f8, f9):
             code = random_full_rank(tower, 4, 3, seed=seed, label="sharp")
             rep = grw_report_exact(code)
             rep.check_invariants(tower.m)
+
+
+_WEI_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2)]
+
+
+@st.composite
+def small_code(draw):
+    """A random code over F_4, F_8 or F_9 of length at most 5: the row space
+    of a random matrix, so every dimension 0..n occurs."""
+    t = draw(st.sampled_from(_WEI_TOWERS))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n),
+                         max_size=n))
+    return LinearCode(t, n, linalg.rref_nonzero(rows, n, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_code())
+def test_wei_duality(code):
+    """{d_r(C)} and {n + 1 - d_r(C-perp)} split 1..n disjointly."""
+    table, _ = grw_table_exact(code)
+    dual_table, _ = grw_table_exact(code.dual())
+    assert sorted(table + [code.n + 1 - d for d in dual_table]) == list(range(1, code.n + 1))

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankcodes import BudgetError, FieldTower, linalg
+from rankcodes import BudgetError, FieldTower, LinearCode, linalg
 
 from conftest import src_env
 
@@ -40,16 +40,6 @@ def test_kernel_examples(f4):
     assert linalg.rowspace_equal(ker, brute, 3, F2)
     for v in ker:
         assert linalg.mat_vec([[1, 1, 1]], v, F2) == [0]
-
-
-def test_intersect_dim_examples(f4):
-    U = [[1, 0, 0], [0, 1, 0]]
-    assert linalg.intersect_dim(U, U, 3, f4) == 2
-    W = [[0, 0, 1]]
-    assert linalg.intersect_dim(U, W, 3, f4) == 0
-    assert linalg.intersect_dim([[1, 1, 0]], U, 3, F2) == 1
-    with pytest.raises(ValueError):
-        linalg.intersect_dim([[1, 0]], [[1, 0, 0]], 3, f4)
 
 
 def test_subspace_enumeration_counts():
@@ -160,9 +150,13 @@ def matrix_pair(draw):
 @settings(max_examples=60, deadline=None)
 @given(matrix_pair())
 def test_dimension_formula(data):
+    """The code's parity-check intersection against the Grassmann formula
+    dim(U ∩ W) = rank U + rank W - rank(U + W)."""
     t, U, W, cols = data
-    inter = linalg.intersect_dim(U, W, cols, t)
-    assert inter + linalg.rank(U + W, cols, t) == linalg.rank(U, cols, t) + linalg.rank(W, cols, t)
+    grassmann = (linalg.rank(U, cols, t) + linalg.rank(W, cols, t)
+                 - linalg.rank(U + W, cols, t))
+    code = LinearCode(t, cols, linalg.rref_nonzero(U, cols, t))
+    assert code.intersection_dim(W) == grassmann
 
 
 def test_matmul_and_solve_right(f9):
