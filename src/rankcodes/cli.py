@@ -2,7 +2,9 @@
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on validation errors (bad flags, malformed files, violated
-preconditions), 2 on enumeration budget overruns.  Every randomized
+preconditions), 2 on enumeration budget overruns.  ``--budget`` caps the
+candidates one command enumerates, all of its tables priced together
+before the first candidate.  Every randomized
 subcommand requires an explicit --seed, and identical invocations with
 identical seeds produce byte-identical output.
 """
@@ -14,10 +16,9 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import codes, equivalence, grw, wiretap
-from .errors import BudgetError, CodeFileError, HypothesisError
+from .errors import DEFAULT_BUDGET, BudgetError, CodeFileError, HypothesisError
 from .field import FieldTower
 from .rankmetric import GaloisClosedSpace
-from .linalg import DEFAULT_BUDGET
 
 
 class _CliError(Exception):
@@ -90,7 +91,7 @@ def build_parser() -> _Parser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration budget (subspace count)")
+                       help="candidates the command may enumerate")
 
     con = sub.add_parser("construct", help="emit code files").add_subparsers(
         dest="what", required=True)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
-from .errors import BudgetError, CodeFileError
+from .errors import DEFAULT_BUDGET, CodeFileError, check_budget
 from .field import FieldTower
-from .linalg import DEFAULT_BUDGET
 
 
 class LinearCode:
@@ -81,11 +80,15 @@ class LinearCode:
     def contains_vector(self, vec: Sequence[int]) -> bool:
         return not any(self._syndrome(vec))
 
+    def syndrome_rank(self, rows: Sequence[Sequence[int]]) -> int:
+        """rank(V·Hᵀ) = dim V − dim(C ∩ V) for V the row space of ``rows``;
+        a caller that knows rank V (a reduced basis) needs nothing else."""
+        syndromes = [self._syndrome(row) for row in rows]
+        return linalg.rank(syndromes, self.n - self.k, self.tower)
+
     def intersection_dim(self, rows: Sequence[Sequence[int]]) -> int:
         """dim(C ∩ V) for V the row space of ``rows``."""
-        syndromes = [self._syndrome(row) for row in rows]
-        return (linalg.rank(rows, self.n, self.tower)
-                - linalg.rank(syndromes, self.n - self.k, self.tower))
+        return linalg.rank(rows, self.n, self.tower) - self.syndrome_rank(rows)
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.tower.order})"
@@ -489,9 +492,7 @@ class TransposedGabidulin:
         return self.companion.order ** self.source_dim
 
     def matrices(self, budget: int = DEFAULT_BUDGET) -> List[List[List[int]]]:
-        if self.size > budget:
-            raise BudgetError(self.size, budget,
-                              f"listing {self.size} codewords exceeds the budget of {budget}")
+        check_budget(self.size, budget, "codewords")
         out = []
         for c in self.source.codewords():
             M = rankmetric.matrix_rep(self.companion, c)  # n x m
@@ -570,22 +571,6 @@ def plotkin_variant(c1: LinearCode, c2: LinearCode, mode: str, *,
     return Reduction(tower, [c1.n, c1.n], [c1.k, c2.k], blocks)
 
 
-def _min_weight_message(code: LinearCode, budget: int) -> Tuple[List[int], int]:
-    """Canonical message of a minimum-rank-weight codeword (k >= 1)."""
-    tower = code.tower
-    best_x = None
-    best_w = None
-    for basis in linalg.subspace_bases(code.k, 1, range(tower.order), budget):
-        x = basis[0]
-        w = rankmetric.rank_weight(tower, code.codeword(x))
-        if best_w is None or w < best_w:
-            best_x, best_w = x, w
-            if best_w == 1:
-                break
-    assert best_x is not None
-    return best_x, best_w
-
-
 def exact_reduction_for_d1(R: Reduction, budget: int = DEFAULT_BUDGET) -> Reduction:
     """Rewrite the reduction so the minimum over row-component distances
     equals the code's first weight.
@@ -597,7 +582,8 @@ def exact_reduction_for_d1(R: Reduction, budget: int = DEFAULT_BUDGET) -> Reduct
     tower = R.tower
     if R.k == 0 or R.l == 1:
         return R
-    x, _ = _min_weight_message(R.code(), budget)
+    check_budget(linalg.gaussian_binomial(R.k, 1, tower.order), budget, "subspaces")
+    x = rankmetric.min_closure(R.code(), 1)[0][0]
     offsets = [0]
     for k_i in R.dims:
         offsets.append(offsets[-1] + k_i)

@@ -16,9 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, build_c_opt, cartesian
-from .errors import HypothesisError
-from .grw import grw_table_exact
-from .linalg import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, HypothesisError
+from .grw import _exact_tables, grw_table_exact
 
 
 @dataclass
@@ -160,20 +159,21 @@ def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET,
     for b_s in code.G:
         for b_i in beta:
             traces.append(rankmetric.vector_trace(tower, tower.scale(b_i, b_s)))
-    assert linalg.rank(traces, code.n, tower) == k * m, \
-        "trace vectors of a maximal-weight code must be independent"
+    if linalg.rank(traces, code.n, tower) != k * m:
+        raise AssertionError("trace vectors of a maximal-weight code must be independent")
     for s, b_s in enumerate(code.G):
         recon = linalg.vec_mat(tower.alphas, traces[s * m:(s + 1) * m], code.n, tower)
-        assert recon == list(b_s), "reconstruction identity failed"
+        if recon != list(b_s):
+            raise AssertionError(f"reconstruction identity failed for generator row {s}")
 
     dst = linalg.identity(k * m)
     psi = RankEquivalenceMap(tower, tuple(tuple(r) for r in traces),
                              tuple(tuple(r) for r in dst), 1)
     c_opt = build_c_opt(tower, k)
     image = psi.apply_code(code)
-    certified = image.equals(c_opt.code())
-    assert certified, "image of the generator must be the canonical code"
-    return ToOptResult(psi, c_opt, certified)
+    if not image.equals(c_opt.code()):
+        raise AssertionError("image of the generator must be the canonical code")
+    return ToOptResult(psi, c_opt, True)
 
 
 @dataclass
@@ -321,24 +321,22 @@ def reduction_equivalence_invariants(R: Reduction, R2: Reduction,
     witnesses: List[Optional[RankEquivalenceMap]] = []
     global_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in linalg.identity(n)),
                                     tuple(tuple(r) for r in A_rows), 1)
+    # weight tables of the main and row components of both sides, under one budget
+    tables = iter(_exact_tables([comp(i) for i in range(R.l) if R.dims[i]
+                                 for comp in (R.main_component, R2.main_component,
+                                              R.row_component, R2.row_component)], budget))
     for i in range(R.l):
         n_i = R.lengths[i]
         diag = [row[offsets[i]:offsets[i + 1]] for row in A_rows[offsets[i]:offsets[i + 1]]]
         block_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in linalg.identity(n_i)),
                                        tuple(tuple(r) for r in diag), 1)
-        main, main2 = R.main_component(i), R2.main_component(i)
-        ok = block_map.apply_code(main).equals(main2) if R.dims[i] else True
-        if R.dims[i]:
-            t1, _ = grw_table_exact(main, budget)
-            t2, _ = grw_table_exact(main2, budget)
-            ok = ok and t1 == t2
-        mains_eq.append(ok)
         witnesses.append(block_map)
-        row1, row2 = R.row_component(i), R2.row_component(i)
-        ok_row = global_map.apply_code(row1).equals(row2) if R.dims[i] else True
-        if R.dims[i]:
-            t1, _ = grw_table_exact(row1, budget)
-            t2, _ = grw_table_exact(row2, budget)
-            ok_row = ok_row and t1 == t2
-        rows_eq.append(ok_row)
+        if not R.dims[i]:
+            mains_eq.append(True)
+            rows_eq.append(True)
+            continue
+        mains_eq.append(next(tables) == next(tables)
+                        and block_map.apply_code(R.main_component(i)).equals(R2.main_component(i)))
+        rows_eq.append(next(tables) == next(tables)
+                       and global_map.apply_code(R.row_component(i)).equals(R2.row_component(i)))
     return ReductionEquivalenceReport(True, [], triangular, mains_eq, rows_eq, witnesses)

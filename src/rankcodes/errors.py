@@ -1,19 +1,29 @@
 """Shared exception types.
 
 Budget overruns are first-class results, never silent truncation: a
-truncated minimum would be an invalid bound pretending to be exact.
+truncated minimum would be an invalid bound pretending to be exact.  A
+budget counts candidates; :func:`check_budget` prices each enumeration once,
+before its first candidate.
 """
 
 from __future__ import annotations
+
+DEFAULT_BUDGET = 10**7
 
 
 class BudgetError(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
-    def __init__(self, count: int, budget: int, message: str | None = None):
+    def __init__(self, count: int, budget: int, what: str):
         self.count = count
         self.budget = budget
-        super().__init__(message or f"enumeration of {count} candidates exceeds budget {budget}")
+        super().__init__(f"enumerating {count} {what} exceeds the budget of {budget}")
+
+
+def check_budget(count: int, budget: int, what: str) -> None:
+    """Refuse, before it starts, an enumeration of ``count`` ``what`` over ``budget``."""
+    if count > budget:
+        raise BudgetError(count, budget, what)
 
 
 class HypothesisError(ValueError):

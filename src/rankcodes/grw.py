@@ -9,6 +9,9 @@ first dimension meeting the code in dimension >= r.  They must agree;
 their enumeration costs differ by orders of magnitude depending on the
 parameters, so the auto mode picks whichever is cheaper and the report
 records which oracle produced each value.
+
+A budget is compared once, before the first candidate, with the cost of
+what an entry point will enumerate: one table, or all the tables it needs.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, dual_reduction
-from .errors import HypothesisError
-from .linalg import DEFAULT_BUDGET, gaussian_binomial
+from .errors import DEFAULT_BUDGET, HypothesisError, check_budget
+from .linalg import gaussian_binomial
 
 
 def _fmt_flag(v: Optional[bool]) -> str:
@@ -84,17 +87,8 @@ def grw_exact_subcodes(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -
     """Minimum closure dimension over r-dimensional subcodes."""
     if not 1 <= r <= code.k:
         raise ValueError(f"r={r} outside 1..{code.k}")
-    tower = code.tower
-    best: Optional[int] = None
-    for basis in linalg.subspace_bases(code.k, r, range(tower.order), budget):
-        rows = [code.codeword(x) for x in basis]
-        w = rankmetric.closure_dim(tower, rows, code.n)
-        if best is None or w < best:
-            best = w
-            if best == r:
-                break
-    assert best is not None
-    return best
+    check_budget(gaussian_binomial(code.k, r, code.tower.order), budget, "subspaces")
+    return rankmetric.min_closure(code, r)[1]
 
 
 def grw_exact_closed_spaces(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -102,16 +96,28 @@ def grw_exact_closed_spaces(code: LinearCode, r: int, budget: int = DEFAULT_BUDG
     dimension >= r."""
     if not 1 <= r <= code.k:
         raise ValueError(f"r={r} outside 1..{code.k}")
-    return _closed_space_table(code, r, budget)[r - 1]
+    check_budget(_closed_cost(code), budget, "subspaces")
+    return _closed_space_table(code, r)[r - 1]
 
 
 def _subcode_cost(code: LinearCode) -> int:
+    """Subspaces the subcode oracle visits for a table: [k r]_{q^m} summed over r."""
     return sum(gaussian_binomial(code.k, r, code.tower.order) for r in range(1, code.k + 1))
 
 
 def _closed_cost(code: LinearCode) -> int:
+    """Subspaces the closed-space scan visits at most: it ends by d = dim C*."""
     dmax = rankmetric.closure_dim(code.tower, code.G, code.n)
     return sum(gaussian_binomial(code.n, d, code.tower.p) for d in range(1, dmax + 1))
+
+
+def _plan(code: LinearCode, method: str) -> Tuple[str, int]:
+    """The oracle a table runs and the candidates it visits; auto takes
+    the cheaper oracle, the subcode one on a tie."""
+    if method == "auto":
+        sub, closed = _subcode_cost(code), _closed_cost(code)
+        return ("subcodes", sub) if sub <= closed else ("closed", closed)
+    return method, _subcode_cost(code) if method == "subcodes" else _closed_cost(code)
 
 
 def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
@@ -121,25 +127,31 @@ def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
         raise ValueError(f"unknown oracle method {method!r}")
     if code.k == 0:
         return [], "oracle-subcode"
-    if method == "auto":
-        method = "subcodes" if _subcode_cost(code) <= _closed_cost(code) else "closed"
+    method, cost = _plan(code, method)
+    check_budget(cost, budget, "subspaces")
     if method == "subcodes":
-        table = [grw_exact_subcodes(code, r, budget) for r in range(1, code.k + 1)]
+        table = [rankmetric.min_closure(code, r)[1] for r in range(1, code.k + 1)]
         return table, "oracle-subcode"
-    return _closed_space_table(code, code.k, budget), "oracle-closed-space"
+    return _closed_space_table(code, code.k), "oracle-closed-space"
 
 
-def _closed_space_table(code: LinearCode, r: int, budget: int) -> List[int]:
+def _exact_tables(codes: Sequence[LinearCode], budget: int) -> List[List[int]]:
+    """Exact tables of several codes under one budget: the sum of what the
+    auto oracle of each will visit is priced before the first one starts."""
+    check_budget(sum(_plan(c, "auto")[1] for c in codes), budget, "subspaces")
+    return [grw_table_exact(c, budget)[0] for c in codes]
+
+
+def _closed_space_table(code: LinearCode, r: int) -> List[int]:
     """Weights d_{R,1} .. d_{R,r}: scans dimensions upward, leaves a
     dimension at the first space meeting the code in dimension r, and
-    stops once entry r is filled."""
-    p = code.tower.p
+    stops once entry r is filled.  Each candidate is a reduced basis of
+    rank d, so dim(C ∩ V) = d − rank(V·Hᵀ)."""
     table: List[int] = []
-    remaining = budget
     for d in range(1, code.n + 1):
         best_inter = 0
-        for basis in linalg.subspace_bases(code.n, d, range(p), remaining):
-            inter = code.intersection_dim(basis)
+        for basis in linalg.subspace_bases(code.n, d, range(code.tower.p)):
+            inter = d - code.syndrome_rank(basis)
             if inter > best_inter:
                 best_inter = inter
                 if best_inter >= r:
@@ -147,7 +159,6 @@ def _closed_space_table(code: LinearCode, r: int, budget: int) -> List[int]:
         table.extend([d] * (min(best_inter, r) - len(table)))
         if len(table) == r:
             return table
-        remaining -= gaussian_binomial(code.n, d, p)
     raise AssertionError("the full space always meets the code")  # unreachable
 
 
@@ -209,14 +220,17 @@ def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET,
     Lower bounds come from min-plus composition of the main component
     tables, upper bounds from the row components, capped by the Singleton
     bound.  For cartesian reductions the two sides meet and the entries
-    are exact.
+    are exact.  The component tables not given are priced together
+    against the one budget before the first is computed.
     """
     tower = R.tower
     n, k = R.n, R.k
-    if main_tables is None:
-        main_tables = [grw_table_exact(R.main_component(i), budget)[0] for i in range(R.l)]
-    if row_tables is None:
-        row_tables = [grw_table_exact(R.row_component(i), budget)[0] for i in range(R.l)]
+    given = (main_tables, row_tables)
+    pending = [comp(i) for tables, comp in zip(given, (R.main_component, R.row_component))
+               if tables is None for i in range(R.l)]
+    computed = iter(_exact_tables(pending, budget))
+    main_tables, row_tables = [t if t is not None else [next(computed) for _ in range(R.l)]
+                               for t in given]
     low = minplus(main_tables, k)
     up_raw = minplus(row_tables, k)
     cart = R.is_cartesian()
@@ -343,35 +357,21 @@ def mrd_rank_bounds(R: Reduction, budget: int = DEFAULT_BUDGET) -> MrdRankBounds
     the whole space and k - r(C) = n - 1 exactly.
     """
     trivial = R.n - 1  # k - r(C) for the full space; valid whenever nothing binds
-    low_terms = [R.main_component(i).k - mrd_rank(R.main_component(i), budget)
-                 for i in range(R.l) if R.dims[i] < R.lengths[i]]
-    lower = min(low_terms) if low_terms else trivial
-    col_terms = []
-    for j in range(R.l):
-        col = R.column_component(j)
-        if col.k < R.lengths[j]:
-            col_terms.append(col.k - mrd_rank(col, budget))
-    upper_cols = min(col_terms) if col_terms else trivial
-    D = dual_reduction(R)
-    upper_blocks = None
-    for i in range(R.l):
-        if R.dims[i] == R.lengths[i]:
-            continue  # empty dual row group: no codewords to bound with
-        main = R.main_component(i)
-        total = main.k - mrd_rank(main, budget)
-        for j in range(i):
-            H = D.block(i, j)
-            if all(x == 0 for row in H for x in row):
-                continue
-            # block (i, j) adds k_ij - r_ij + 2 = d_1 of the code it generates
-            n_j = R.lengths[j]
-            dual_code = LinearCode(R.tower, n_j, linalg.rref_nonzero(H, n_j, R.tower))
-            total += grw_table_exact(dual_code, budget)[0][0]
-        if upper_blocks is None or total < upper_blocks:
-            upper_blocks = total
-    if upper_blocks is None:
-        upper_blocks = trivial
-    return MrdRankBounds(lower, upper_cols, upper_blocks)
+    # k - r(C') = d_1(C'-perp) - 2 for a component C' with dual codewords, and
+    # a nonzero dual block (i, j) adds d_1 of the code it generates
+    tower, lengths, D = R.tower, R.lengths, dual_reduction(R)
+    groups = [i for i in range(R.l) if R.dims[i] < lengths[i]]
+    cols = [c for c in map(R.column_component, range(R.l)) if c.k < c.n]
+    blocks = [[LinearCode(tower, lengths[j], linalg.rref_nonzero(D.block(i, j), lengths[j], tower))
+               for j in range(i) if any(map(any, D.block(i, j)))] for i in groups]
+    codes = ([R.main_component(i).dual() for i in groups] + [c.dual() for c in cols]
+             + [b for row in blocks for b in row])
+    d1 = iter([table[0] for table in _exact_tables(codes, budget)])
+    main_terms = [next(d1) - 2 for _ in groups]
+    col_terms = [next(d1) - 2 for _ in cols]
+    block_terms = [term + sum(next(d1) for _ in row) for term, row in zip(main_terms, blocks)]
+    return MrdRankBounds(min(main_terms, default=trivial), min(col_terms, default=trivial),
+                         min(block_terms, default=trivial))
 
 
 def is_degenerate(code: LinearCode) -> bool:
@@ -411,15 +411,10 @@ def dual_grw_upper(R: Reduction, budget: int = DEFAULT_BUDGET) -> List[int]:
     """Upper bounds on the dual code's weights via the column components:
     min-plus over the duals of the column components, for
     r = 1 .. n - k_hat.  Empty when the column components fill the code."""
-    tower = R.tower
     khat = sum(R.column_component(j).k for j in range(R.l))
     if khat == R.n:
         return []
-    tables = []
-    for j in range(R.l):
-        dual = R.column_component(j).dual()
-        table, _ = grw_table_exact(dual, budget)
-        tables.append(table)
+    tables = _exact_tables([R.column_component(j).dual() for j in range(R.l)], budget)
     vals = minplus(tables, R.n - khat)
     return vals[1:]
 

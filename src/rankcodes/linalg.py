@@ -8,7 +8,8 @@ matrices whose entries are codes below p, and F_p is closed under all the
 row operations used here).
 
 Subspace enumeration yields each subspace exactly once as its unique
-reduced row echelon basis, fenced by an explicit budget.
+reduced row echelon basis; it carries no budget, because its callers know
+its size (:func:`gaussian_binomial`) and price it before it starts.
 
 Membership in a code and dim(C ∩ V) are not computed here by stacking
 rows: :class:`~rankcodes.codes.LinearCode` answers both from its cached
@@ -21,12 +22,8 @@ import hashlib
 import itertools
 from typing import Iterator, List, Optional, Sequence
 
-from .errors import BudgetError
-
 Row = List[int]
 Rows = List[Row]
-
-DEFAULT_BUDGET = 10**7
 
 
 def zeros(nrows: int, ncols: int) -> Rows:
@@ -184,8 +181,7 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def subspace_bases(n: int, d: int, elements: Sequence[int],
-                   budget: int = DEFAULT_BUDGET) -> Iterator[Rows]:
+def subspace_bases(n: int, d: int, elements: Sequence[int]) -> Iterator[Rows]:
     """Yield every d-dim subspace of F^n once, as its canonical RREF basis.
 
     ``elements`` lists the scalar codes of the ground field (the extension
@@ -193,12 +189,6 @@ def subspace_bases(n: int, d: int, elements: Sequence[int],
     matrix is determined by its pivot columns plus free entries.  Bases
     come out in a fixed lexicographic order.
     """
-    q = len(elements)
-    total = gaussian_binomial(n, d, q)
-    if total > budget:
-        raise BudgetError(total, budget,
-                          f"enumerating {total} subspaces of dimension {d} in F_{q}^{n} "
-                          f"exceeds the budget of {budget}")
     if d == 0:
         yield []
         return

@@ -56,6 +56,21 @@ def closure_dim(tower, rows: Sequence[Sequence[int]], ncols: int) -> int:
     return len(closure_basis_ext(tower, rows, ncols))
 
 
+def min_closure(code, r: int) -> Tuple[List[List[int]], int]:
+    """(message basis, weight) of the first r-dimensional subcode of least
+    closure dimension in the order of :func:`linalg.subspace_bases`; it visits
+    at most [k r]_{q^m} candidates.  For r = 1 the weight is the rank distance."""
+    tower = code.tower
+    best = None
+    for basis in linalg.subspace_bases(code.k, r, range(tower.order)):
+        w = closure_dim(tower, [code.codeword(x) for x in basis], code.n)
+        if best is None or w < best[1]:
+            best = basis, w
+            if w == r:
+                break
+    return best
+
+
 @dataclass(frozen=True)
 class GaloisClosedSpace:
     """A Frobenius-stable F_{q^m}-space, held by its F_q RREF basis."""

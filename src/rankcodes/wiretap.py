@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .codes import LinearCode, Reduction, _content_lines, _format_rows, _parse_row
-from .errors import BudgetError, CodeFileError, HypothesisError
-from .grw import grw_table_exact
-from .linalg import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, CodeFileError, HypothesisError, check_budget
+from .grw import _exact_tables
 from .rankmetric import GaloisClosedSpace
 
 JOINT_BUDGET = 10**6
@@ -97,7 +96,9 @@ def leakage_report_for_reduction(R: Reduction, B_rows: Sequence[Sequence[int]],
     search = composition_search(R, V, tables=component_tables, budget=budget)
     if search.applicable:
         rep.theorem_bound = search.bound
-        assert rep.leakage <= search.bound
+        if rep.leakage > search.bound:
+            raise AssertionError(f"leakage {rep.leakage} exceeds the certified "
+                                 f"bound {search.bound}")
     return rep
 
 
@@ -125,9 +126,7 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     _check_wiretap_rows(tower, B_rows, code.n)
     n, k = code.n, code.k
     atoms = tower.order**n
-    if atoms > budget:
-        raise BudgetError(atoms, budget,
-                          f"joint enumeration needs {atoms} atoms, budget is {budget}")
+    check_budget(atoms, budget, "atoms")
     Bt = linalg.transpose(list(B_rows), n) if B_rows else []
     Gt = linalg.transpose(list(code.G), n) if k else []
     joint: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
@@ -172,7 +171,7 @@ def _component_tables(R: Reduction, budget: int,
                       tables: Optional[Sequence[Sequence[int]]]) -> List[List[int]]:
     if tables is not None:
         return [list(t) for t in tables]
-    return [grw_table_exact(R.main_component(i), budget)[0] for i in range(R.l)]
+    return _exact_tables([R.main_component(i) for i in range(R.l)], budget)
 
 
 @dataclass

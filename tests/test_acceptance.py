@@ -176,6 +176,8 @@ def test_criterion_10_duality(corpus4):
         bound = dual_grw_upper(R)
         for b, d in zip(bound, dual_exact):
             assert b >= d
+        # Wei duality: {d_r(C)} and {n+1-d_r(C-perp)} split 1..n
+        assert sorted(exact + [code.n + 1 - d for d in dual_exact]) == list(range(1, code.n + 1))
 
 
 # -- 5 & 6: the n > m family ----------------------------------------------------------

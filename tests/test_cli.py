@@ -53,7 +53,7 @@ def test_budget_exit_code_names_count(tmp_path, capsys):
     rc, _, err = run(capsys, "grw", "exact", "--input", path,
                      "--method", "subcodes", "--budget", "10")
     assert rc == 2
-    assert "273" in err  # the Gaussian binomial [3 1]_16, the first r to overrun
+    assert "547" in err  # the whole table: [3 1]_16 + [3 2]_16 + [3 3]_16
 
 
 def test_validation_exit_codes(tmp_path, capsys):

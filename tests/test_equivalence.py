@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ from rankcodes import (FieldTower, HypothesisError, LinearCode,
 from rankcodes.codes import random_block_transform, transform_reduction
 from rankcodes.equivalence import dual_alpha_basis
 
-from conftest import random_full_rank
+from conftest import random_full_rank, src_env
 
 
 def _random_fq_invertible(tower, n, seed):
@@ -93,6 +95,35 @@ def test_to_c_opt_idempotent(f4):
     res = to_c_opt(copt)
     assert res.certified
     assert res.map.apply_code(copt).equals(res.c_opt.code())
+
+
+_FORGED_CERTIFICATES = """
+from rankcodes import FieldTower, LinearCode, build_c_opt, cartesian, linalg
+from rankcodes import equivalence as eq, wiretap as wt
+
+f4 = FieldTower(2, 2)
+copt = build_c_opt(f4, 2)
+eq.build_c_opt = lambda tower, k: cartesian([LinearCode(tower, 2, [[1, 0]])] * k)
+wt.composition_search = lambda *args, **kwargs: wt.CompositionSearchResult(True, 0, (0, 0))
+for check in (lambda: eq.to_c_opt(copt.code()),
+              lambda: wt.leakage_report_for_reduction(copt, linalg.identity(4))):
+    try:
+        check()
+    except AssertionError as exc:
+        print("debug" if __debug__ else "optimized", "raised:", exc)
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    # a wrong canonical code and a certified bound below the leakage must
+    # still raise when python -O strips assert statements
+    res = subprocess.run([sys.executable, "-O", "-c", _FORGED_CERTIFICATES],
+                         env=src_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "optimized raised: image of the generator must be the canonical code",
+        "optimized raised: leakage 2 exceeds the certified bound 0",
+    ]
 
 
 def test_to_c_opt_recovers_from_scrambling(f4):

@@ -238,3 +238,23 @@ def test_tables_match_sympy_galoistools(tabulated_and_polynomial):
             if a:
                 s, _, h = gf_gcdex(fa, g, p, ZZ)
                 assert h == [1] and t.inv(a) == from_gf(s)
+
+
+def test_irreducibility_matches_sympy():
+    """check_irreducible on every monic polynomial of small degree, and
+    default_modulus as the first irreducible one in its order, against
+    sympy's irreducibility test."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for p, max_deg in ((2, 7), (3, 4), (5, 3), (7, 2)):
+        for deg in range(1, max_deg + 1):
+            first = None
+            for code in range(p**deg):
+                poly = tuple(code // p**i % p for i in range(deg)) + (1,)
+                want = gf_irreducible_p(list(reversed(poly)), p, ZZ)
+                assert check_irreducible(p, poly) == want, (p, poly)
+                if want and first is None:
+                    first = poly
+            assert default_modulus(p, deg) == first, (p, deg)

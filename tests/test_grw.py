@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
-                       build_c_opt, cartesian, decompose_by_blocks, dual_grw_upper,
-                       gabidulin, grw_bounds_reducible, grw_estimates_mrd,
+                       build_c_opt, cartesian, composition_search, decompose_by_blocks,
+                       dual_grw_upper, gabidulin, grw_bounds_reducible, grw_estimates_mrd,
                        grw_exact_closed_spaces, grw_exact_subcodes,
                        grw_report_exact, grw_table_exact, is_degenerate,
                        linalg, mrd_plan, mrd_rank, mrd_rank_bounds,
                        rank_weight, reducible, singleton_check)
 from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
-from rankcodes.rankmetric import closure_dim
-from rankcodes import codes as codes_mod
+from rankcodes.rankmetric import GaloisClosedSpace, closure_dim
+from rankcodes import codes as codes_mod, grw as grw_mod
 
 from conftest import random_full_rank, src_env
 
@@ -51,6 +51,56 @@ def test_oracle_budget_error(f16):
     code = gabidulin(f16, 4, 3)
     with pytest.raises(BudgetError):
         grw_exact_subcodes(code, 2, budget=10)
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """Dimensions of the subspaces linalg.subspace_bases yields in a test."""
+    dims = []
+    real = linalg.subspace_bases
+
+    def counted(n, d, elements):
+        for basis in real(n, d, elements):
+            dims.append(d)
+            yield basis
+
+    monkeypatch.setattr(linalg, "subspace_bases", counted)
+    return dims
+
+
+def test_subcode_table_priced_before_enumeration(f16, enumerated):
+    code = gabidulin(f16, 4, 3)  # [3 1]_16 = [3 2]_16 = 273, [3 3]_16 = 1
+    assert grw_exact_subcodes(code, 1, budget=300) == 2
+    assert len(enumerated) == 273
+    enumerated.clear()
+    with pytest.raises(BudgetError) as err:
+        grw_table_exact(code, budget=300, method="subcodes")
+    assert err.value.count == 547 and not enumerated
+
+
+def test_closed_scan_priced_before_enumeration(f16, enumerated):
+    code = gabidulin(f16, 4, 3)
+    cost = grw_mod._closed_cost(code)  # dim C* = 4: every nonzero subspace of F_2^4
+    assert cost == 15 + 35 + 15 + 1
+    with pytest.raises(BudgetError) as err:
+        grw_table_exact(code, budget=cost - 1, method="closed")
+    assert err.value.count == cost and not enumerated
+    with pytest.raises(BudgetError) as err:
+        grw_exact_closed_spaces(code, 1, budget=cost - 1)
+    assert err.value.count == cost and not enumerated
+    assert grw_table_exact(code, budget=cost, method="closed")[0] == [2, 3, 4]
+    assert len(enumerated) == cost  # d_3 = dim C*: the scan reaches its last candidate
+
+
+def test_component_tables_share_one_budget(f16, enumerated):
+    R = cartesian([gabidulin(f16, 4, 2)] * 2)  # every component: [2 1]_16 + [2 2]_16 = 18
+    with pytest.raises(BudgetError) as err:
+        grw_bounds_reducible(R, budget=18)  # two main and two row components
+    assert err.value.count == 4 * 18 and not enumerated
+    with pytest.raises(BudgetError) as err:
+        composition_search(R, GaloisClosedSpace.from_fq_rows(f16, [], 8), budget=18)
+    assert err.value.count == 2 * 18 and not enumerated
+    assert grw_bounds_reducible(R, budget=4 * 18).table() == [3, 4, 7, 8]
 
 
 def test_oracle_validation(f4):
