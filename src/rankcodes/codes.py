@@ -26,7 +26,8 @@ class LinearCode:
     dual) is read off it on first use and cached, and every question about
     membership and intersection goes through it: v is in C iff v·Hᵀ = 0,
     and dim(C ∩ V) = rank(V) − rank(V·Hᵀ), so no caller re-eliminates the
-    generator stacked with the vectors it asks about.
+    generator stacked with the vectors it asks about.  The dimension of the
+    Galois closure C* is cached the same way, one closure per code.
     """
 
     def __init__(self, tower: FieldTower, n: int, rows: Sequence[Sequence[int]]):
@@ -48,16 +49,25 @@ class LinearCode:
         self.k = len(G)
         self.rref = tuple(tuple(r) for r in reduced)
         self._Ht: Optional[List[List[int]]] = None
+        self._closure_dim: Optional[int] = None
 
-    def _parity_t(self) -> List[List[int]]:
+    def parity_t(self) -> List[List[int]]:
+        """Hᵀ, n rows of width n − k; the syndrome of v is v·Hᵀ."""
         if self._Ht is None:
             self._Ht = linalg.transpose(linalg.kernel(self.rref, self.n, self.tower), self.n)
         return self._Ht
 
+    @property
+    def closure_dim(self) -> int:
+        """dim C*, the rank weight of the whole code."""
+        if self._closure_dim is None:
+            self._closure_dim = rankmetric.closure_dim(self.tower, self.G, self.n)
+        return self._closure_dim
+
     def _syndrome(self, vec: Sequence[int]) -> List[int]:
         if len(vec) != self.n:
             raise ValueError("vector length differs from the code length")
-        return linalg.vec_mat(vec, self._parity_t(), self.n - self.k, self.tower)
+        return linalg.vec_mat(vec, self.parity_t(), self.n - self.k, self.tower)
 
     def codeword(self, x: Sequence[int]) -> Tuple[int, ...]:
         if len(x) != self.k:
@@ -72,7 +82,7 @@ class LinearCode:
             yield self.codeword(x)
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.tower, self.n, linalg.transpose(self._parity_t(), self.n - self.k))
+        return LinearCode(self.tower, self.n, linalg.transpose(self.parity_t(), self.n - self.k))
 
     def equals(self, other: "LinearCode") -> bool:
         return self.tower == other.tower and self.n == other.n and self.rref == other.rref

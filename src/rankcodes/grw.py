@@ -3,21 +3,25 @@ certificates, MRD rank and degeneracy.
 
 Two independent exact oracles are provided.  The subcode oracle minimizes
 the closure dimension over all r-dimensional subcodes, enumerated through
-the message space; the closed-space oracle scans Galois closed spaces
-(equivalently, F_q row spaces) by increasing dimension and returns the
-first dimension meeting the code in dimension >= r.  They must agree;
-their enumeration costs differ by orders of magnitude depending on the
-parameters, so the auto mode picks whichever is cheaper and the report
-records which oracle produced each value.
+the message space; the closed-space oracle finds the smallest dimension of
+a Galois closed space (equivalently, an F_q row space) meeting the code in
+dimension >= r.  It scans only the dimensions that decide the table, from
+the ceiling of each weight downward, each one as a tree of syndromes; for
+an MRD code the one dimension n − k decides every weight.  The oracles
+must agree; their enumeration costs differ by orders of magnitude
+depending on the parameters, so the auto mode picks whichever is cheaper
+and the report records which oracle produced each value.
 
 A budget is compared once, before the first candidate, with the cost of
-what an entry point will enumerate: one table, or all the tables it needs.
+what an entry point will enumerate, or an upper bound on it for the
+closed-space scan: one table, or all the tables it needs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, dual_reduction
@@ -96,7 +100,7 @@ def grw_exact_closed_spaces(code: LinearCode, r: int, budget: int = DEFAULT_BUDG
     dimension >= r."""
     if not 1 <= r <= code.k:
         raise ValueError(f"r={r} outside 1..{code.k}")
-    check_budget(_closed_cost(code), budget, "subspaces")
+    check_budget(_closed_cost(code, r), budget, "subspaces")
     return _closed_space_table(code, r)[r - 1]
 
 
@@ -105,10 +109,13 @@ def _subcode_cost(code: LinearCode) -> int:
     return sum(gaussian_binomial(code.k, r, code.tower.order) for r in range(1, code.k + 1))
 
 
-def _closed_cost(code: LinearCode) -> int:
-    """Subspaces the closed-space scan visits at most: it ends by d = dim C*."""
-    dmax = rankmetric.closure_dim(code.tower, code.G, code.n)
-    return sum(gaussian_binomial(code.n, d, code.tower.p) for d in range(1, dmax + 1))
+def _closed_cost(code: LinearCode, r: Optional[int] = None) -> int:
+    """Subspaces the closed-space scan visits at most for entries 1..r
+    (default k): every subspace of dimension up to the ceiling
+    dim C* − k + r of d_r, which is at most min(n − k + r, dim C*); the
+    walk stays below it."""
+    top = code.closure_dim - code.k + (code.k if r is None else r)
+    return sum(gaussian_binomial(code.n, d, code.tower.p) for d in range(1, top + 1))
 
 
 def _plan(code: LinearCode, method: str) -> Tuple[str, int]:
@@ -143,23 +150,83 @@ def _exact_tables(codes: Sequence[LinearCode], budget: int) -> List[List[int]]:
 
 
 def _closed_space_table(code: LinearCode, r: int) -> List[int]:
-    """Weights d_{R,1} .. d_{R,r}: scans dimensions upward, leaves a
-    dimension at the first space meeting the code in dimension r, and
-    stops once entry r is filled.  Each candidate is a reduced basis of
-    rank d, so dim(C ∩ V) = d − rank(V·Hᵀ)."""
+    """Weights d_{R,1} .. d_{R,r} from as few dimension scans as decide them.
+
+    Let f(d) be the largest dim(C ∩ V) over closed V of dimension d, so
+    d_s = min{d : f(d) >= s}.  f never decreases, grows by at most 1 per
+    step, and f(dim C*) = k, while f(d) < k below dim C*.  A value
+    f(d) >= v therefore gives d_s <= d − v + s for every s <= v, and the
+    scan starts entry s at the least such ceiling (dim C* − k + s, or a
+    better one from a space found earlier).  It then asks "f(u − 1) >= s?"
+    and steps down until the first miss, which pins d_s = u; a miss at d
+    caps f(d + j) <= f(d) + j, which is why entry s + 1 never looks at or
+    below d_s.  Each dimension's walk resumes where an earlier question
+    left it, so no candidate is visited twice and no dimension at or above
+    the ceiling of d_r is walked (see :func:`_closed_cost`).
+    """
+    k, top = code.k, code.closure_dim
+    found = {top: k}  # d -> a value f(d) is known to reach
+    walks: Dict[int, Iterator[int]] = {}
+
+    def reaches(d: int, s: int) -> bool:
+        for inter in walks.setdefault(d, _closed_leaves(code, d)):
+            if inter >= s:
+                found[d] = inter
+                return True
+        return False
+
     table: List[int] = []
-    for d in range(1, code.n + 1):
-        best_inter = 0
-        for basis in linalg.subspace_bases(code.n, d, range(code.tower.p)):
-            inter = d - code.syndrome_rank(basis)
-            if inter > best_inter:
-                best_inter = inter
-                if best_inter >= r:
-                    break
-        table.extend([d] * (min(best_inter, r) - len(table)))
-        if len(table) == r:
-            return table
-    raise AssertionError("the full space always meets the code")  # unreachable
+    for s in range(1, r + 1):
+        u = min(d - v + s for d, v in found.items() if v >= s)
+        floor = table[-1] if table else 0
+        while u - 1 > floor and s < k and reaches(u - 1, s):
+            u -= 1
+        table.append(u)
+    return table
+
+
+def _closed_leaves(code: LinearCode, d: int) -> Iterator[int]:
+    """dim(C ∩ V) for d-dimensional closed spaces V, one per leaf of a
+    syndrome tree, skipping every subtree that cannot beat the best value
+    yielded so far; exhausting it therefore reaches f(d).
+
+    V runs over the F_q RREF bases of each pivot template in turn.  Row i
+    is e_{p_i} plus an F_q combination of its free columns, so its
+    syndrome is Hᵀ[p_i] + Σ v_j Hᵀ[j]; the q^{free_i} syndromes of each row
+    are computed once per template.  The walk is depth first over the
+    rows: each level reduces one syndrome against the echelon rows of its
+    prefix, and a prefix of syndrome rank ρ caps every leaf below it at
+    dim(C ∩ V) = d − rank(V·Hᵀ) <= d − ρ.
+    """
+    tower, n, q = code.tower, code.n, code.tower.p
+    axpy, scale, neg, inv = tower.axpy, tower.scale, tower.neg, tower.inv
+    Ht = code.parity_t()
+    best = -1
+
+    def below(rows: List[List[List[int]]], echelon: List[Tuple[int, List[int]]]) -> Iterator[int]:
+        nonlocal best
+        for syn in rows[0]:
+            for c, e in echelon:
+                if syn[c]:
+                    syn = axpy(syn, neg(syn[c]), e)
+            pivot = next((c for c, x in enumerate(syn) if x), None)
+            inter = d - len(echelon) - (pivot is not None)
+            if len(rows) == 1:
+                best = max(best, inter)
+                yield inter
+            elif inter > best:
+                ext = echelon if pivot is None else echelon + [(pivot, scale(inv(syn[pivot]), syn))]
+                yield from below(rows[1:], ext)
+
+    for pivots in itertools.combinations(range(n), d):
+        rows = []
+        for p in pivots:
+            syndromes = [Ht[p]]
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    syndromes = [axpy(s, v, Ht[j]) for s in syndromes for v in range(q)]
+            rows.append(syndromes)
+        yield from below(rows, [])
 
 
 def singleton_max_d1(m: int, n: int, k: int) -> int:
@@ -249,7 +316,7 @@ def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET,
         else:
             method = "singleton"
         entries.append(GrwEntry(r, lower, upper, exact, method))
-    degenerate = rankmetric.closure_dim(tower, R.code().G, n) < n
+    degenerate = R.code().closure_dim < n
     if k:
         mrd, defect = singleton_check(tower.m, n, k, entries[0].lower, entries[0].upper)
     else:
@@ -377,7 +444,7 @@ def mrd_rank_bounds(R: Reduction, budget: int = DEFAULT_BUDGET) -> MrdRankBounds
 def is_degenerate(code: LinearCode) -> bool:
     """True when the closure does not fill the ambient space, i.e. the
     code could live on fewer coordinates after a rank equivalence."""
-    return rankmetric.closure_dim(code.tower, code.G, code.n) < code.n
+    return code.closure_dim < code.n
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
 from rankcodes.rankmetric import GaloisClosedSpace, closure_dim
 from rankcodes import codes as codes_mod, grw as grw_mod
 
-from conftest import random_full_rank, src_env
+from conftest import closed_space_table_reference, random_full_rank, src_env
 
 
 # -- oracles -----------------------------------------------------------------
@@ -55,16 +56,23 @@ def test_oracle_budget_error(f16):
 
 @pytest.fixture
 def enumerated(monkeypatch):
-    """Dimensions of the subspaces linalg.subspace_bases yields in a test."""
+    """Dimensions of the candidates a test enumerates: the subspaces
+    linalg.subspace_bases yields and the leaves the closed-space walk reaches."""
     dims = []
-    real = linalg.subspace_bases
+    real_bases, real_leaves = linalg.subspace_bases, grw_mod._closed_leaves
 
-    def counted(n, d, elements):
-        for basis in real(n, d, elements):
+    def bases(n, d, elements):
+        for basis in real_bases(n, d, elements):
             dims.append(d)
             yield basis
 
-    monkeypatch.setattr(linalg, "subspace_bases", counted)
+    def leaves(code, d):
+        for inter in real_leaves(code, d):
+            dims.append(d)
+            yield inter
+
+    monkeypatch.setattr(linalg, "subspace_bases", bases)
+    monkeypatch.setattr(grw_mod, "_closed_leaves", leaves)
     return dims
 
 
@@ -85,11 +93,16 @@ def test_closed_scan_priced_before_enumeration(f16, enumerated):
     with pytest.raises(BudgetError) as err:
         grw_table_exact(code, budget=cost - 1, method="closed")
     assert err.value.count == cost and not enumerated
+    # entry 1 walks only below its ceiling dim C* − k + 1 = 2
     with pytest.raises(BudgetError) as err:
-        grw_exact_closed_spaces(code, 1, budget=cost - 1)
-    assert err.value.count == cost and not enumerated
+        grw_exact_closed_spaces(code, 1, budget=49)
+    assert err.value.count == 15 + 35 and not enumerated
+    assert grw_exact_closed_spaces(code, 1, budget=50) == 2
+    assert 0 < len(enumerated) <= 50
+    enumerated.clear()
     assert grw_table_exact(code, budget=cost, method="closed")[0] == [2, 3, 4]
-    assert len(enumerated) == cost  # d_3 = dim C*: the scan reaches its last candidate
+    assert 0 < len(enumerated) <= cost
+    assert set(enumerated) == {1}  # MRD: the miss at n − k = 1 decides the table
 
 
 def test_component_tables_share_one_budget(f16, enumerated):
@@ -101,6 +114,48 @@ def test_component_tables_share_one_budget(f16, enumerated):
         composition_search(R, GaloisClosedSpace.from_fq_rows(f16, [], 8), budget=18)
     assert err.value.count == 2 * 18 and not enumerated
     assert grw_bounds_reducible(R, budget=4 * 18).table() == [3, 4, 7, 8]
+
+
+_CLOSED_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2), FieldTower(2, 4)]
+
+
+@st.composite
+def closed_scan_code(draw):
+    """A random code over F_4, F_8, F_9 or F_16: the row space of 1..n random
+    rows, each drawn over F_q or over F_{q^m}, so degenerate codes
+    (dim C* < n) and small d_1 are common.  Lengths stop at 7 over F_2 and
+    at 5 over F_3, where the reference scan of every closed space stays
+    under a second."""
+    t = draw(st.sampled_from(_CLOSED_TOWERS))
+    n = draw(st.integers(1, 7 if t.p == 2 else 5))
+    k = draw(st.integers(1, n))
+    rows = [draw(st.lists(st.integers(0, (t.p if draw(st.booleans()) else t.order) - 1),
+                          min_size=n, max_size=n)) for _ in range(k)]
+    return LinearCode(t, n, linalg.rref_nonzero(rows, n, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_scan_code())
+def test_closed_scan_matches_reference(code):
+    """The envelope and syndrome tree give the ascending scan's table, each
+    entry alone equals the table's, and no walk reaches more leaves than
+    its price."""
+    leaves = []
+    real = grw_mod._closed_leaves
+
+    def counted(c, d):
+        for inter in real(c, d):
+            leaves.append(d)
+            yield inter
+
+    with mock.patch.object(grw_mod, "_closed_leaves", counted):
+        table = grw_mod._closed_space_table(code, code.k)
+        assert table == closed_space_table_reference(code, code.k)
+        assert len(leaves) <= grw_mod._closed_cost(code)
+        for r in range(1, code.k + 1):
+            leaves.clear()
+            assert grw_exact_closed_spaces(code, r) == table[r - 1]
+            assert len(leaves) <= grw_mod._closed_cost(code, r)
 
 
 def test_oracle_validation(f4):
