@@ -354,8 +354,22 @@ class FieldTower:
         primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
         g = next(g for g in range(1, order) if all(self.pow(g, n // r) != 1 for r in primes))
         cycle = [1]
-        for _ in range(n - 1):
-            cycle.append(self._mul_poly(cycle[-1], g))
+        if p == 2:
+            # x*g by Horner over the bits of g: shift, reduce by the
+            # modulus (the code with bit m), add by XOR
+            red, bits = self.from_coeffs(self.modulus), [int(b) for b in f"{g:b}"]
+            for _ in range(n - 1):
+                x, acc = cycle[-1], 0
+                for bit in bits:
+                    acc <<= 1
+                    if acc & order:
+                        acc ^= red
+                    if bit:
+                        acc ^= x
+                cycle.append(acc)
+        else:
+            for _ in range(n - 1):
+                cycle.append(self._mul_poly(cycle[-1], g))
         log = [2 * n] * order
         for i, v in enumerate(cycle):
             log[v] = i

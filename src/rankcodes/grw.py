@@ -2,19 +2,22 @@
 certificates, MRD rank and degeneracy.
 
 Two independent exact oracles are provided.  The subcode oracle minimizes
-the closure dimension over all r-dimensional subcodes, enumerated through
-the message space; the closed-space oracle finds the smallest dimension of
-a Galois closed space (equivalently, an F_q row space) meeting the code in
-dimension >= r.  It scans only the dimensions that decide the table, from
-the ceiling of each weight downward, each one as a tree of syndromes; for
-an MRD code the one dimension n − k decides every weight.  The oracles
-must agree; their enumeration costs differ by orders of magnitude
-depending on the parameters, so the auto mode picks whichever is cheaper
-and the report records which oracle produced each value.
+the closure dimension over all r-dimensional subcodes, walked through the
+message space as a tree of rank supports over F_q
+(:func:`rankmetric.min_closure`); the closed-space oracle finds the
+smallest dimension of a Galois closed space (equivalently, an F_q row
+space) meeting the code in dimension >= r.  It scans only the dimensions
+that decide the table, from the ceiling of each weight downward, each one
+as a tree of syndromes; for an MRD code the one dimension n − k decides
+every weight.  The oracles must agree; their enumeration costs differ by
+orders of magnitude depending on the parameters, so the auto mode picks
+whichever is cheaper and the report records which oracle produced each
+value.
 
-A budget is compared once, before the first candidate, with the cost of
-what an entry point will enumerate, or an upper bound on it for the
-closed-space scan: one table, or all the tables it needs.
+A budget is compared once, before the first candidate, with the price of
+what an entry point may enumerate: one table, or all the tables it needs.
+Both walks skip subtrees, so a price is an upper bound on the leaves they
+reach, not a count of them.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ def grw_exact_closed_spaces(code: LinearCode, r: int, budget: int = DEFAULT_BUDG
 
 
 def _subcode_cost(code: LinearCode) -> int:
-    """Subspaces the subcode oracle visits for a table: [k r]_{q^m} summed over r."""
+    """Subcodes the subcode oracle reaches at most for a table: [k r]_{q^m}
+    summed over r."""
     return sum(gaussian_binomial(code.k, r, code.tower.order) for r in range(1, code.k + 1))
 
 
@@ -119,8 +123,8 @@ def _closed_cost(code: LinearCode, r: Optional[int] = None) -> int:
 
 
 def _plan(code: LinearCode, method: str) -> Tuple[str, int]:
-    """The oracle a table runs and the candidates it visits; auto takes
-    the cheaper oracle, the subcode one on a tie."""
+    """The oracle a table runs and its price; auto takes the cheaper
+    oracle, the subcode one on a tie."""
     if method == "auto":
         sub, closed = _subcode_cost(code), _closed_cost(code)
         return ("subcodes", sub) if sub <= closed else ("closed", closed)
@@ -143,8 +147,9 @@ def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
 
 
 def _exact_tables(codes: Sequence[LinearCode], budget: int) -> List[List[int]]:
-    """Exact tables of several codes under one budget: the sum of what the
-    auto oracle of each will visit is priced before the first one starts."""
+    """Exact tables of several codes under one budget: the sum of the
+    prices of the auto oracle of each is checked before the first one
+    starts."""
     check_budget(sum(_plan(c, "auto")[1] for c in codes), budget, "subspaces")
     return [grw_table_exact(c, budget)[0] for c in codes]
 

@@ -8,9 +8,10 @@ matrices whose entries are codes below p, and F_p is closed under all the
 row operations used here).
 
 Subspace enumeration yields each subspace exactly once as its unique
-reduced row echelon basis; it serves the subcode oracle, which walks the
-subspaces of the message space.  It carries no budget, because its callers
-know its size (:func:`gaussian_binomial`) and price it before it starts.
+reduced row echelon basis.  Its order is the order in which the subcode
+oracle's walk meets the subspaces of the message space, and the plain scans
+that check both oracles use it.  It carries no budget, because its size is
+known beforehand (:func:`gaussian_binomial`).
 
 Membership in a code and dim(C ∩ V) are not computed here by stacking
 rows: :class:`~rankcodes.codes.LinearCode` answers both from its cached

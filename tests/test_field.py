@@ -155,11 +155,12 @@ def test_tower_equality_and_hash():
 
 # -- differential tests: tables against polynomial arithmetic and sympy -------------
 
-# F_2 (primitive element 1), F_4, F_25, F_243, F_2048, F_2187 and F_59049
-# (the largest odd-p tower with tables): both characteristics, on both
-# sides of 1,024 elements.  The first three are checked exhaustively, the
-# others on seeded samples.
-DIFF_TOWERS = [(2, 1), (2, 2), (5, 2), (3, 5), (2, 11), (3, 7), (3, 10)]
+# F_2 (primitive element 1), F_4, F_25, F_243, F_256, F_2048, F_2187, F_2^14
+# and F_59049 (the largest odd-p tower with tables): both characteristics,
+# on both sides of 1,024 elements, and for p = 2 the primitive elements y,
+# y + 1 (F_256) and y^2 + y + 1 (F_2^14).  The first three are checked
+# exhaustively, the others on seeded samples.
+DIFF_TOWERS = [(2, 1), (2, 2), (5, 2), (3, 5), (2, 8), (2, 11), (3, 7), (2, 14), (3, 10)]
 EXHAUSTIVE = {(2, 1), (2, 2), (5, 2)}
 
 

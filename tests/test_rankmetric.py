@@ -1,11 +1,15 @@
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rankcodes import FieldTower, GaloisClosedSpace, galois_closure, linalg, matrix_rep, rank_weight, vector_trace
+from rankcodes import (FieldTower, GaloisClosedSpace, LinearCode, galois_closure, linalg,
+                       matrix_rep, rank_weight, vector_trace)
 from rankcodes import rankmetric
 
-from conftest import random_full_rank
+from conftest import (closure_basis_reference, galois_closure_reference,
+                      min_closure_reference, random_full_rank)
 
 
 def test_matrix_rep_examples(f4):
@@ -71,7 +75,8 @@ def test_weight_equals_closure_dim_sampled(f8, f9):
         rng = linalg.rng_stream(seed, "wt-closure")
         for _ in range(25):
             vec = [int(v) for v in rng.integers(0, tower.order, size=4)]
-            assert rank_weight(tower, vec) == rankmetric.closure_dim(tower, [vec], 4)
+            assert rank_weight(tower, vec) == rankmetric.closure_dim(tower, [vec], 4) \
+                == linalg.rank(matrix_rep(tower, vec), 4, tower)
 
 
 def test_weight_invariance_under_scaling_and_column_ops(f8):
@@ -130,3 +135,75 @@ def test_galois_closed_space_validation(f4):
     assert sp.contains([3, 3])
     assert not sp.contains([1, 0])
     assert sp.project(0, 1).dim == 1
+
+
+# -- the slice kernel and the rank-support walk against the Frobenius stack ------
+
+_KERNEL_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2), FieldTower(2, 4),
+                  FieldTower(5, 2), FieldTower(3, 3), FieldTower(2, 6)]
+
+
+def _rows(draw, t, n, count):
+    """count rows of length n, each drawn over F_q or over F_{q^m}, so that
+    supports smaller than the ambient space are common."""
+    return [draw(st.lists(st.integers(0, (t.p if draw(st.booleans()) else t.order) - 1),
+                          min_size=n, max_size=n)) for _ in range(count)]
+
+
+@st.composite
+def rows_over_tower(draw):
+    t = draw(st.sampled_from(_KERNEL_TOWERS))
+    n = draw(st.integers(1, 7))
+    return t, n, _rows(draw, t, n, draw(st.integers(0, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_over_tower())
+def test_closure_kernel_matches_frobenius_stack(case):
+    """closure_dim, LinearCode.closure_dim and galois_closure, all read from
+    the coordinate slices, equal the extension-field Frobenius stack."""
+    t, n, rows = case
+    ext = closure_basis_reference(t, rows, n)
+    assert rankmetric.closure_dim(t, rows, n) == len(ext)
+    assert [list(r) for r in galois_closure(t, rows, n).basis] == galois_closure_reference(t, rows, n)
+    basis = linalg.rref_nonzero(rows, n, t)
+    if basis:
+        assert LinearCode(t, n, basis).closure_dim == len(ext)
+
+
+# (tower, largest k): every k and r whose plain scan stays small
+_WALK_TOWERS = [(FieldTower(2, 2), 4), (FieldTower(2, 3), 3), (FieldTower(3, 2), 3),
+                (FieldTower(2, 4), 3)]
+
+
+@st.composite
+def subcode_scan_code(draw):
+    """A random code whose generator is the drawn rows themselves, not
+    their RREF, so that the walk's first rows can already have full
+    support."""
+    t, kmax = draw(st.sampled_from(_WALK_TOWERS))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, kmax)))
+    rows = _rows(draw, t, n, k)
+    assume(linalg.rank(rows, n, t) == k)
+    return LinearCode(t, n, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(subcode_scan_code())
+def test_subcode_walk_matches_reference(code):
+    """For every r, min_closure returns the plain scan's weight and first
+    minimising message basis, from at most [k r]_{q^m} leaves."""
+    leaves = []
+    real = rankmetric._subcode_leaves
+
+    def counted(c, r):
+        for leaf in real(c, r):
+            leaves.append(r)
+            yield leaf
+
+    with mock.patch.object(rankmetric, "_subcode_leaves", counted):
+        for r in range(1, code.k + 1):
+            leaves.clear()
+            assert rankmetric.min_closure(code, r) == min_closure_reference(code, r)
+            assert 0 < len(leaves) <= linalg.gaussian_binomial(code.k, r, code.tower.order)
