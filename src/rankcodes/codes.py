@@ -471,7 +471,8 @@ def build_mrd_reducible(tower: FieldTower, plan: MrdPlan, seed: int) -> Reductio
         raise ValueError("plan was derived for a different extension degree")
     mains = [gabidulin(tower, L, d) for L, d in plan.components]
     R = reducible(mains, seed=seed, fill="random")
-    assert R.n == plan.n and R.k == plan.k
+    if (R.n, R.k) != (plan.n, plan.k):
+        raise AssertionError(f"built an [{R.n}, {R.k}] code from an [{plan.n}, {plan.k}] plan")
     return R
 
 
@@ -514,16 +515,6 @@ class TransposedGabidulin:
         alphas = self.tower.alphas
         # entry j is sum_i M[i][j] * alpha_i: the rows of M weighted by the alphas
         return [linalg.vec_mat(alphas, M, self.n, self.tower) for M in self.matrices(budget)]
-
-    def sample(self, seed: int, count: int) -> List[List[List[int]]]:
-        rng = linalg.rng_stream(seed, "transposed-gab")
-        out = []
-        for _ in range(count):
-            x = [int(v) for v in rng.integers(0, self.companion.order, size=self.source_dim)]
-            c = self.source.codeword(x)
-            M = rankmetric.matrix_rep(self.companion, c)
-            out.append(linalg.transpose(M, self.tower.m))
-        return out
 
 
 def transposed_gabidulin(tower: FieldTower, n: int, k: int,
@@ -615,7 +606,8 @@ def exact_reduction_for_d1(R: Reduction, budget: int = DEFAULT_BUDGET) -> Reduct
     rows_by_block[i0] = new_i0
     flat = [row for chunk in rows_by_block for row in chunk]
     out = Reduction.from_generator(tower, R.lengths, R.dims, flat)
-    assert out.code().equals(R.code())
+    if not out.code().equals(R.code()):
+        raise AssertionError("the rewritten reduction generates a different code")
     return out
 
 

@@ -264,9 +264,6 @@ class FieldTower:
             return self.pow(a, self.order - 2)
         return self._exp[self._n - log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e

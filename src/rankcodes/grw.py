@@ -9,10 +9,12 @@ smallest dimension of a Galois closed space (equivalently, an F_q row
 space) meeting the code in dimension >= r.  It scans only the dimensions
 that decide the table, from the ceiling of each weight downward, each one
 as a tree of syndromes; for an MRD code the one dimension n − k decides
-every weight.  The oracles must agree; their enumeration costs differ by
-orders of magnitude depending on the parameters, so the auto mode picks
-whichever is cheaper and the report records which oracle produced each
-value.
+every weight.  Both trees are the one walk of :func:`linalg.rank_leaves`:
+on the generator matrix over F_{q^m} with coordinate slices as items, or
+on Hᵀ over F_q with syndromes as items.  The oracles must agree; their
+enumeration costs differ by orders of magnitude depending on the
+parameters, so the auto mode picks whichever is cheaper and the report
+records which oracle produced each value.
 
 A budget is compared once, before the first candidate, with the price of
 what an entry point may enumerate: one table, or all the tables it needs.
@@ -22,7 +24,6 @@ reach, not a count of them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -168,15 +169,21 @@ def _closed_space_table(code: LinearCode, r: int) -> List[int]:
     below d_s.  Each dimension's walk resumes where an earlier question
     left it, so no candidate is visited twice and no dimension at or above
     the ceiling of d_r is walked (see :func:`_closed_cost`).
+
+    Dimension d is walked by :func:`linalg.rank_leaves` on Hᵀ over F_q:
+    dim(C ∩ V) = d − rank(V·Hᵀ), so a prefix of syndrome rank ρ caps every
+    leaf below it at d − ρ, and the walk's least rank is f(d).
     """
-    k, top = code.k, code.closure_dim
+    k, top, tower = code.k, code.closure_dim, code.tower
     found = {top: k}  # d -> a value f(d) is known to reach
     walks: Dict[int, Iterator[int]] = {}
 
     def reaches(d: int, s: int) -> bool:
-        for inter in walks.setdefault(d, _closed_leaves(code, d)):
-            if inter >= s:
-                found[d] = inter
+        leaves = linalg.rank_leaves(tower, code.parity_t(), d, tower.p, _syndrome,
+                                    linalg.extend_rows, [])
+        for rank in walks.setdefault(d, leaves):
+            if d - rank >= s:
+                found[d] = d - rank
                 return True
         return False
 
@@ -190,48 +197,10 @@ def _closed_space_table(code: LinearCode, r: int) -> List[int]:
     return table
 
 
-def _closed_leaves(code: LinearCode, d: int) -> Iterator[int]:
-    """dim(C ∩ V) for d-dimensional closed spaces V, one per leaf of a
-    syndrome tree, skipping every subtree that cannot beat the best value
-    yielded so far; exhausting it therefore reaches f(d).
-
-    V runs over the F_q RREF bases of each pivot template in turn.  Row i
-    is e_{p_i} plus an F_q combination of its free columns, so its
-    syndrome is Hᵀ[p_i] + Σ v_j Hᵀ[j]; the q^{free_i} syndromes of each row
-    are computed once per template.  The walk is depth first over the
-    rows: each level reduces one syndrome against the echelon rows of its
-    prefix, and a prefix of syndrome rank ρ caps every leaf below it at
-    dim(C ∩ V) = d − rank(V·Hᵀ) <= d − ρ.
-    """
-    tower, n, q = code.tower, code.n, code.tower.p
-    axpy, scale, neg, inv = tower.axpy, tower.scale, tower.neg, tower.inv
-    Ht = code.parity_t()
-    best = -1
-
-    def below(rows: List[List[List[int]]], echelon: List[Tuple[int, List[int]]]) -> Iterator[int]:
-        nonlocal best
-        for syn in rows[0]:
-            for c, e in echelon:
-                if syn[c]:
-                    syn = axpy(syn, neg(syn[c]), e)
-            pivot = next((c for c, x in enumerate(syn) if x), None)
-            inter = d - len(echelon) - (pivot is not None)
-            if len(rows) == 1:
-                best = max(best, inter)
-                yield inter
-            elif inter > best:
-                ext = echelon if pivot is None else echelon + [(pivot, scale(inv(syn[pivot]), syn))]
-                yield from below(rows[1:], ext)
-
-    for pivots in itertools.combinations(range(n), d):
-        rows = []
-        for p in pivots:
-            syndromes = [Ht[p]]
-            for j in range(p + 1, n):
-                if j not in pivots:
-                    syndromes = [axpy(s, v, Ht[j]) for s in syndromes for v in range(q)]
-            rows.append(syndromes)
-        yield from below(rows, [])
+def _syndrome(tower, syn: List[int]) -> Tuple[List[int]]:
+    """The item of a syndrome in the closed-space walk: the one row that
+    :func:`linalg.extend_rows` inserts."""
+    return (syn,)
 
 
 def singleton_max_d1(m: int, n: int, k: int) -> int:

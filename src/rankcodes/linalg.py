@@ -8,10 +8,14 @@ matrices whose entries are codes below p, and F_p is closed under all the
 row operations used here).
 
 Subspace enumeration yields each subspace exactly once as its unique
-reduced row echelon basis.  Its order is the order in which the subcode
-oracle's walk meets the subspaces of the message space, and the plain scans
-that check both oracles use it.  It carries no budget, because its size is
-known beforehand (:func:`gaussian_binomial`).
+reduced row echelon basis, in a fixed lexicographic order; the plain scans
+that check both GRW oracles use it.  It carries no budget, because its size
+is known beforehand (:func:`gaussian_binomial`).
+
+Both GRW oracles meet the subspaces in the same order as a tree instead
+(:func:`rank_leaves`): a prefix of basis rows fixes the rank of their images
+under one matrix, which every extension shares and can only grow.
+:func:`extend_rows` is the one echelon insertion kernel over the tower.
 
 Membership in a code and dim(C ∩ V) are not computed here by stacking
 rows: :class:`~rankcodes.codes.LinearCode` answers both from its cached
@@ -22,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterator, List, Optional, Sequence
+import sys
+from typing import Callable, Iterator, List, Optional, Sequence
 
 Row = List[int]
 Rows = List[Row]
@@ -209,3 +214,87 @@ def subspace_bases(n: int, d: int, elements: Sequence[int]) -> Iterator[Rows]:
             for (i, j), v in zip(free, vals):
                 basis[i][j] = v
             yield basis
+
+
+def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]]) -> list:
+    """``echelon`` plus those of ``rows`` that are independent of it.
+
+    The echelon is a list of (pivot, row, factor) triples: each row is
+    nonzero at its pivot and 0 at the pivots before it, so the length of
+    the list is the rank of the span, and factor is −1/row[pivot].  Each
+    new row is reduced against every triple before it and appended when
+    nonzero.  No row is scaled to a leading 1, which would cost a new row
+    per insertion.  Neither argument is changed; the result is a new list
+    unless nothing is added.
+    """
+    out = echelon
+    for s in rows:
+        for c, e, f in out:
+            if s[c]:
+                s = tower.axpy(s, tower.mul(s[c], f), e)
+        for c, x in enumerate(s):
+            if x:
+                out = out + [(c, s, tower.neg(tower.inv(x)))]
+                break
+    return out
+
+
+def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
+                item: Callable, extend: Callable, least: list) -> Iterator[int]:
+    """Ranks of V·M for the d-dimensional subspaces V of F^n (n = len(M),
+    d >= 1, F the field of the codes below ``order``), one per leaf of a
+    rank tree, skipping every subtree that cannot go below the least rank
+    yielded so far.  Exhausting it therefore reaches the least rank.
+
+    V runs over the RREF bases in the order of :func:`subspace_bases`.  Row
+    i of a pivot template is e_{p_i} plus a combination of its free
+    columns, so its image is M[p_i] + Σ v_j M[j]; the images of each row
+    are computed once per template, free values in lexicographic order, and
+    each is kept as ``item(tower, image)``.  The walk is depth first over
+    the rows: each level inserts one item into its prefix's echelon with
+    ``extend(tower, echelon, item)``, and a prefix whose echelon already
+    reaches the least rank found has no lower leaf below it, because the
+    echelon only grows.  At each new least rank ``least`` is set to
+    [basis of V, rank].
+    """
+    n, axpy, values = len(M), tower.axpy, range(order)
+    best = sys.maxsize
+
+    def below(rows: list, echelon: list, path: tuple) -> Iterator[int]:
+        nonlocal best
+        if len(rows) == 1:
+            for idx, x in enumerate(rows[0]):
+                rank = len(extend(tower, echelon, x))
+                if rank < best:
+                    best = rank
+                    least[:] = [_template_basis(n, order, pivots, path + (idx,)), rank]
+                yield rank
+            return
+        rest = rows[1:]
+        for idx, x in enumerate(rows[0]):
+            ext = extend(tower, echelon, x)
+            if len(ext) < best:
+                yield from below(rest, ext, path + (idx,))
+
+    for pivots in itertools.combinations(range(n), d):
+        rows = []
+        for p in pivots:
+            images = [M[p]]
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    images = [axpy(s, v, M[j]) for s in images for v in values]
+            rows.append([item(tower, s) for s in images])
+        yield from below(rows, [], ())
+
+
+def _template_basis(n: int, order: int, pivots: Sequence[int], path: Sequence[int]) -> Rows:
+    """The RREF basis of a leaf of :func:`rank_leaves`: ``path`` holds each
+    row's index among the free values of its template row."""
+    basis = []
+    for p, idx in zip(pivots, path):
+        row = [0] * n
+        row[p] = 1
+        for j in reversed([j for j in range(p + 1, n) if j not in pivots]):
+            idx, row[j] = divmod(idx, order)
+        basis.append(row)
+    return basis

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ from rankcodes import (BudgetError, CodeFileError, FieldTower, LinearCode,
                        reducible, transform_reduction, transposed_gabidulin)
 from rankcodes.codes import random_block_transform
 
-from conftest import random_full_rank
+from conftest import random_full_rank, src_env
 
 
 # -- gabidulin ----------------------------------------------------------
@@ -257,7 +259,6 @@ def test_transposed_gabidulin_budget(f4):
     tg = transposed_gabidulin(f4, 3, 2)
     with pytest.raises(BudgetError):
         tg.matrices(budget=10)
-    assert len(tg.sample(seed=3, count=5)) == 5
 
 
 # -- plotkin variants ------------------------------------------------------
@@ -323,6 +324,37 @@ def test_exact_reduction_for_d1_random(f8):
         assert out.lengths == R.lengths and out.dims == R.dims
         d1 = grw_exact_subcodes(R.code(), 1)
         assert min(grw_exact_subcodes(out.row_component(i), 1) for i in range(out.l)) == d1
+
+
+_FORGED = """
+from rankcodes import FieldTower, codes, gabidulin, mrd_plan
+
+f8 = FieldTower(2, 3)
+real = codes.reducible
+codes.reducible = lambda mains, **kw: real(mains[:-1], **kw)  # one component short
+try:
+    codes.build_mrd_reducible(f8, mrd_plan(f8, 5, 2), seed=1)
+except AssertionError as exc:
+    print("debug" if __debug__ else "optimized", "raised:", exc)
+codes.reducible = real
+mains = [gabidulin(f8, 3, 2), gabidulin(f8, 2, 1)]
+R, other = real(mains, seed=0), real(mains, fill="zero")
+codes.Reduction.from_generator = staticmethod(lambda *args: other)  # a different code
+try:
+    codes.exact_reduction_for_d1(R)
+except AssertionError as exc:
+    print("debug" if __debug__ else "optimized", "raised:", exc)
+"""
+
+
+def test_reduction_self_checks_survive_optimize():
+    # under -O a bare assert would vanish and the forged results would be printed
+    res = subprocess.run([sys.executable, "-O", "-c", _FORGED],
+                         env=src_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "optimized raised: built an [3, 1] code from an [5, 2] plan",
+        "optimized raised: the rewritten reduction generates a different code"]
 
 
 def test_transform_reduction_identity_and_invariants(f4):

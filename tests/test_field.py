@@ -112,7 +112,6 @@ def test_small_field_exhaustive_inverses():
         t = FieldTower(*pm)
         for a in range(1, t.order):
             assert t.mul(a, t.inv(a)) == 1
-            assert t.div(a, a) == 1
 
 
 def test_scalar_syntax():

@@ -14,7 +14,7 @@ from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
                        rank_weight, reducible, singleton_check)
 from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
 from rankcodes.rankmetric import GaloisClosedSpace, closure_dim
-from rankcodes import codes as codes_mod, grw as grw_mod, rankmetric
+from rankcodes import codes as codes_mod, grw as grw_mod
 
 from conftest import closed_space_table_reference, random_full_rank, src_env
 
@@ -57,22 +57,16 @@ def test_oracle_budget_error(f16):
 @pytest.fixture
 def enumerated(monkeypatch):
     """Dimensions of the candidates a test enumerates: the leaves the
-    subcode walk and the closed-space walk reach."""
+    rank-tree walk reaches, for the subcode and the closed-space oracle."""
     dims = []
-    real_subcodes, real_closed = rankmetric._subcode_leaves, grw_mod._closed_leaves
+    real = linalg.rank_leaves
 
-    def subcodes(code, r):
-        for leaf in real_subcodes(code, r):
-            dims.append(r)
-            yield leaf
-
-    def closed(code, d):
-        for inter in real_closed(code, d):
+    def counted(tower, M, d, *args):
+        for rank in real(tower, M, d, *args):
             dims.append(d)
-            yield inter
+            yield rank
 
-    monkeypatch.setattr(rankmetric, "_subcode_leaves", subcodes)
-    monkeypatch.setattr(grw_mod, "_closed_leaves", closed)
+    monkeypatch.setattr(linalg, "rank_leaves", counted)
     return dims
 
 
@@ -116,6 +110,24 @@ def test_component_tables_share_one_budget(f16, enumerated):
     assert grw_bounds_reducible(R, budget=4 * 18).table() == [3, 4, 7, 8]
 
 
+def test_walks_reach_pinned_leaf_counts(enumerated):
+    """The exact work of both walks on fixed codes, as leaves reached per
+    table: the closed walk on Gabidulin codes, the subcode walk over
+    r = 1..k on seeded MRD builds."""
+    for (p, m, n, k), leaves in [((2, 4, 4, 3), 15), ((2, 6, 6, 3), 1395), ((2, 6, 6, 4), 651),
+                                 ((2, 7, 7, 3), 11811), ((3, 5, 5, 3), 1210),
+                                 ((2, 11, 6, 3), 1395)]:
+        enumerated.clear()
+        grw_table_exact(gabidulin(FieldTower(p, m), n, k), method="closed")
+        assert len(enumerated) == leaves, (p, m, n, k)
+    for (p, m, n, k), leaves in [((2, 3, 7, 4), 686), ((3, 3, 6, 3), 1515)]:
+        t = FieldTower(p, m)
+        enumerated.clear()
+        grw_table_exact(codes_mod.build_mrd_reducible(t, mrd_plan(t, n, k), seed=1).code(),
+                        method="subcodes")
+        assert len(enumerated) == leaves, (p, m, n, k)
+
+
 _CLOSED_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2), FieldTower(2, 4)]
 
 
@@ -141,14 +153,14 @@ def test_closed_scan_matches_reference(code):
     entry alone equals the table's, and no walk reaches more leaves than
     its price."""
     leaves = []
-    real = grw_mod._closed_leaves
+    real = linalg.rank_leaves
 
-    def counted(c, d):
-        for inter in real(c, d):
+    def counted(tower, M, d, *args):
+        for rank in real(tower, M, d, *args):
             leaves.append(d)
-            yield inter
+            yield rank
 
-    with mock.patch.object(grw_mod, "_closed_leaves", counted):
+    with mock.patch.object(linalg, "rank_leaves", counted):
         table = grw_mod._closed_space_table(code, code.k)
         assert table == closed_space_table_reference(code, code.k)
         assert len(leaves) <= grw_mod._closed_cost(code)

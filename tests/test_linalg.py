@@ -160,3 +160,33 @@ def test_matmul_and_solve_right(f9):
     x = linalg.solve_right(B, 3, [5, 7], f9)
     assert linalg.mat_vec(B, x, f9) == [5, 7]
     assert linalg.solve_right([[1, 0], [1, 0]], 2, [1, 0], f9) is None
+
+
+_EXTEND_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2), FieldTower(3, 3)]
+
+
+@st.composite
+def rows_to_insert(draw):
+    """Rows over F_4, F_8, F_9 or F_27 picked with repeats from a pool that
+    holds the zero row and rows drawn over F_q or over F_{q^m}, plus the
+    number of them inserted by the first of two calls."""
+    t = draw(st.sampled_from(_EXTEND_TOWERS))
+    n = draw(st.integers(1, 5))
+    pool = [[0] * n] + [draw(st.lists(st.integers(0, (t.p if draw(st.booleans()) else t.order) - 1),
+                                      min_size=n, max_size=n))
+                        for _ in range(draw(st.integers(1, 4)))]
+    rows = [list(pool[i]) for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=7))]
+    return t, n, rows, draw(st.integers(0, len(rows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows_to_insert())
+def test_extend_rows_matches_rank(case):
+    """The echelon built in two insertions holds one row per dimension of
+    the span and spans the same space; the inserted rows are not changed."""
+    t, n, rows, split = case
+    given_rows = linalg.copy_rows(rows)
+    echelon = linalg.extend_rows(t, linalg.extend_rows(t, [], rows[:split]), rows[split:])
+    assert len(echelon) == linalg.rank(rows, n, t)
+    assert linalg.rowspace_equal([row for _, row, _ in echelon], rows, n, t)
+    assert rows == given_rows
