@@ -20,8 +20,8 @@ from .grw import (GrwReport, decompose_by_blocks, dual_grw_upper,
 from .equivalence import (RankEquivalenceMap, exact_product_test,
                           product_characterization,
                           reduction_equivalence_invariants, to_c_opt)
-from .wiretap import (LeakageReport, composition_search, coset_decode,
-                      coset_encode, leakage_exact, stronger_security_bound)
+from .wiretap import (LeakageReport, composition_search, leakage_exact,
+                      stronger_security_bound)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "is_degenerate", "mrd_rank", "mrd_rank_bounds", "singleton_check",
     "RankEquivalenceMap", "exact_product_test", "product_characterization",
     "reduction_equivalence_invariants", "to_c_opt",
-    "LeakageReport", "composition_search", "coset_decode", "coset_encode",
-    "leakage_exact", "stronger_security_bound",
+    "LeakageReport", "composition_search", "leakage_exact",
+    "stronger_security_bound",
 ]

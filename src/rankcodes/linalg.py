@@ -147,20 +147,6 @@ def solve_right(M: Sequence[Sequence[int]], ncols: int, b: Sequence[int], tower)
     return x
 
 
-def solve_affine(M: Sequence[Sequence[int]], ncols: int, b: Sequence[int], tower,
-                 seed: int, label: str = "solve-affine") -> Row:
-    """Uniformly random solution of M x^T = b^T, deterministic per seed."""
-    x0 = solve_right(M, ncols, b, tower)
-    if x0 is None:
-        raise ValueError("inconsistent linear system")
-    kern = kernel(M, ncols, tower)
-    if not kern:
-        return x0
-    rng = rng_stream(seed, label)
-    coeffs = [int(c) for c in rng.integers(0, tower.order, size=len(kern))]
-    return tower.axpy(x0, 1, vec_mat(coeffs, kern, ncols, tower))
-
-
 def rng_stream(seed: int, label: str = "") -> "numpy.random.Generator":
     """Counter-based generator for the (seed, stream-label) pair.
 

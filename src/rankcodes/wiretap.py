@@ -3,8 +3,13 @@
 A message x in F_{q^m}^k is coset-encoded as a uniformly random c with
 c G^T = x; an eavesdropper tapping mu links observes c B^T for a matrix B
 over F_q.  The leaked information, in packets (logarithms base q^m), is
-exactly the dimension of the code's intersection with the row space of B,
-and an exhaustive joint-distribution computation reproduces it.
+exactly the dimension of the code's intersection with the row space of B.
+
+:func:`leakage_joint_enumeration` reproduces that number without the
+formula: it counts the joint distribution of (message, observation) over
+every atom c, the images c·[G^T | B^T] formed one from another by one
+addition each (an XOR of packed ints for p = 2), and compares the mutual
+information with :func:`leakage_exact`.
 
 Wiretap matrices live over the base field; entries outside F_q are a hard
 error, never coerced.
@@ -12,13 +17,13 @@ error, never coerced.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .codes import LinearCode, Reduction, _content_lines, _format_rows, _parse_row
+from .codes import LinearCode, Reduction, _content_lines, _parse_row
 from .errors import DEFAULT_BUDGET, CodeFileError, HypothesisError, check_budget
 from .grw import _exact_tables
 from .rankmetric import GaloisClosedSpace
@@ -39,20 +44,6 @@ class LeakageReport:
         if self.theorem_bound is not None:
             out.append(f"certified_bound={self.theorem_bound}")
         return out
-
-
-def coset_encode(code: LinearCode, x: Sequence[int], seed: int) -> Tuple[int, ...]:
-    """A uniformly random codeword representative with c G^T = x."""
-    if len(x) != code.k:
-        raise ValueError("message length differs from k")
-    c = linalg.solve_affine(code.G, code.n, list(x), code.tower, seed, "coset-encode")
-    return tuple(c)
-
-
-def coset_decode(code: LinearCode, c: Sequence[int]) -> Tuple[int, ...]:
-    if len(c) != code.n:
-        raise ValueError("word length differs from n")
-    return tuple(linalg.mat_vec(code.G, list(c), code.tower))
 
 
 def _check_wiretap_rows(tower, B_rows: Sequence[Sequence[int]], n: int) -> None:
@@ -112,40 +103,88 @@ def _int_log(value: int, q: int) -> int:
     return e
 
 
+def _packed_counts(tower, cols: Sequence[Sequence[int]]) -> Counter:
+    """How often each image c·[Gᵀ | Bᵀ] occurs over all c, for p = 2.
+
+    ``cols`` holds the rows of [Gᵀ | Bᵀ], one per coordinate.  An image is
+    packed into one int, m bits per entry, so adding two images is one XOR
+    and the int is its own dict key.  The images over the first j
+    coordinates are those over the first j − 1, each plus one precomputed
+    multiple a·row_j; the last coordinate's images are counted as they are
+    formed, so no list of all atoms is built.
+    """
+    m, order = tower.m, tower.order
+
+    def pack(row: Sequence[int]) -> int:
+        return sum(x << (m * i) for i, x in enumerate(row))
+
+    mults = [[pack(tower.scale(a, col)) for a in range(order)] for col in cols]
+    images = [0]
+    for step in mults[:-1]:
+        images = [x ^ t for t in step for x in images]
+    return Counter(x ^ t for t in mults[-1] for x in images)
+
+
+def _tuple_counts(tower, cols: Sequence[Sequence[int]]) -> Counter:
+    """:func:`_packed_counts` for odd p: images are tuples, each one
+    ``tower.axpy`` away from its parent."""
+    axpy, scalars = tower.axpy, range(tower.order)
+    images = [(0,) * len(cols[0])]
+    for col in cols[:-1]:
+        images = [tuple(axpy(x, a, col)) for a in scalars for x in images]
+    return Counter(tuple(axpy(x, a, cols[-1])) for a in scalars for x in images)
+
+
+def _marginal(joint: Counter, part) -> Counter:
+    out: Counter = Counter()
+    for key, cnt in joint.items():
+        out[part(key)] += cnt
+    return out
+
+
 def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
                               budget: int = JOINT_BUDGET) -> Fraction:
     """Mutual information between the message and the observation, by
     exhaustive enumeration of the joint distribution.
 
-    Every atom probability is a power of q, so the entropies are exact
-    rationals in packet units; the result is checked against the
-    intersection-dimension formula before being returned, and a mismatch
-    raises AssertionError (also under ``python -O``).
+    A uniform word c is exactly a uniform message s = c·Gᵀ followed by a
+    uniform word of its coset, so the joint distribution of (s, w), w =
+    c·Bᵀ, is the count of each image c·[Gᵀ | Bᵀ] over all q^{mn} atoms c.
+    Every atom is counted once: its image is an image already formed plus
+    one precomputed multiple of a row of [Gᵀ | Bᵀ], by one XOR on packed
+    ints for p = 2 and one ``tower.axpy`` on tuples otherwise.  The
+    marginals are sums over the joint table.
+
+    Every count is a power of q (checked), so
+    I = H(S) + H(W) − H(S, W) is one integer numerator over atoms·m, in
+    packet units.  The budget is checked on the atoms before any work, and
+    the result is compared with the intersection-dimension formula
+    :func:`leakage_exact`; a mismatch raises AssertionError (also under
+    ``python -O``).
     """
     tower = code.tower
     _check_wiretap_rows(tower, B_rows, code.n)
-    n, k = code.n, code.k
+    n, k, m = code.n, code.k, tower.m
     atoms = tower.order**n
     check_budget(atoms, budget, "atoms")
-    Bt = linalg.transpose(list(B_rows), n) if B_rows else []
-    Gt = linalg.transpose(list(code.G), n) if k else []
-    joint: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    s_count: Dict[Tuple[int, ...], int] = {}
-    w_count: Dict[Tuple[int, ...], int] = {}
-    for c in itertools.product(range(tower.order), repeat=n):
-        # a uniform c is exactly: draw s uniformly, then x uniform on its coset
-        s = tuple(linalg.vec_mat(list(c), Gt, k, tower)) if k else ()
-        w = tuple(linalg.vec_mat(list(c), Bt, len(B_rows), tower)) if B_rows else ()
-        joint[(s, w)] = joint.get((s, w), 0) + 1
-        s_count[s] = s_count.get(s, 0) + 1
-        w_count[w] = w_count.get(w, 0) + 1
-    q, m = tower.p, tower.m
-    total_log = _int_log(atoms, q)
-    info = Fraction(0)
-    for (s, w), cnt in joint.items():
-        num = _int_log(cnt, q) + total_log
-        den = _int_log(s_count[s], q) + _int_log(w_count[w], q)
-        info += Fraction(cnt, atoms) * Fraction(num - den, m)
+    cols = linalg.transpose(list(code.G) + list(B_rows), n)
+    if tower.p == 2:
+        joint = _packed_counts(tower, cols)
+        mask, shift = (1 << m * k) - 1, m * k
+        s_count = _marginal(joint, lambda key: key & mask)
+        w_count = _marginal(joint, lambda key: key >> shift)
+    else:
+        joint = _tuple_counts(tower, cols)
+        s_count = _marginal(joint, lambda key: key[:k])
+        w_count = _marginal(joint, lambda key: key[k:])
+    counts = {atoms}.union(joint.values(), s_count.values(), w_count.values())
+    logs = {c: _int_log(c, tower.p) for c in counts}
+
+    def weighted(t: Counter) -> int:
+        return sum(c * logs[c] for c in t.values())
+
+    num = atoms * logs[atoms] + weighted(joint) - weighted(s_count) - weighted(w_count)
+    info = Fraction(num, atoms * m)
     exact = leakage_exact(code, B_rows).leakage
     if info != exact:
         raise AssertionError(f"joint enumeration gave {info}, intersection gives {exact}")
@@ -257,10 +296,6 @@ def copt_full_block_bound(R: Reduction, V: GaloisClosedSpace) -> int:
 
 
 # -- wiretap file format ------------------------------------------------
-
-
-def format_wiretap_file(tower, B_rows: Sequence[Sequence[int]]) -> str:
-    return "\n".join([f"wiretap mu={len(B_rows)}"] + _format_rows(tower, B_rows)) + "\n"
 
 
 def parse_wiretap_file(tower, text: str, n: int) -> List[List[int]]:

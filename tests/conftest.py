@@ -1,4 +1,6 @@
+import itertools
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,38 @@ def min_closure_reference(code, r):
             if w == r:
                 break
     return best
+
+
+def leakage_joint_reference(code, B_rows):
+    """Mutual information of message and observation, in packets, by the
+    plain per-atom loop: c·Gᵀ and c·Bᵀ by two vector–matrix products for
+    every c in F_{q^m}^n, dict counts, and one Fraction per joint entry."""
+    tower, n, k, mu = code.tower, code.n, code.k, len(B_rows)
+    Gt = linalg.transpose(list(code.G), n)
+    Bt = linalg.transpose(list(B_rows), n)
+    joint, s_count, w_count = {}, {}, {}
+    for c in itertools.product(range(tower.order), repeat=n):
+        s = tuple(linalg.vec_mat(list(c), Gt, k, tower))
+        w = tuple(linalg.vec_mat(list(c), Bt, mu, tower))
+        joint[(s, w)] = joint.get((s, w), 0) + 1
+        s_count[s] = s_count.get(s, 0) + 1
+        w_count[w] = w_count.get(w, 0) + 1
+    atoms = tower.order**n
+    info = Fraction(0)
+    for (s, w), cnt in joint.items():
+        num = _exponent(cnt, tower.p) + _exponent(atoms, tower.p)
+        den = _exponent(s_count[s], tower.p) + _exponent(w_count[w], tower.p)
+        info += Fraction(cnt, atoms) * Fraction(num - den, tower.m)
+    return info
+
+
+def _exponent(value, q):
+    e = 0
+    while value % q == 0:
+        value //= q
+        e += 1
+    assert value == 1, "a count is not a power of q"
+    return e
 
 
 def src_env():

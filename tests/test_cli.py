@@ -179,6 +179,17 @@ def test_wiretap_flow(tmp_path, capsys):
     assert out.strip() == "applicable=true bound=0 composition=1,1 exact=0"
 
 
+def test_wiretap_empirical_budget_exit_2(tmp_path, capsys):
+    opt = str(tmp_path / "opt.code")
+    run(capsys, "construct", "opt", "--p", "2", "--m", "2", "--k", "2", "-o", opt)
+    wfile = tmp_path / "tap.wiretap"
+    wfile.write_text("wiretap mu=1\nrow 1,0 0,0 0,0 0,0\n")
+    rc, out, err = run(capsys, "wiretap", "empirical", "--input", opt,
+                       "--wiretap", str(wfile), "--budget", "10")
+    assert rc == 2 and out == ""
+    assert err == "error: enumerating 256 atoms exceeds the budget of 10\n"
+
+
 def test_reduce_flows(tmp_path, capsys):
     red = str(tmp_path / "red.code")
     run(capsys, "construct", "mrd-build", "--p", "2", "--m", "3", "--n", "5",

@@ -58,34 +58,6 @@ def test_subspace_bases_are_canonical_rref(f9):
         assert reduced == basis
 
 
-def test_solve_affine_examples(f4):
-    # invertible system: unique solution regardless of seed
-    M = [[1, 0], [0, 1]]
-    for seed in range(5):
-        assert linalg.solve_affine(M, 2, [3, 2], f4, seed) == [3, 2]
-    # zero map with b = 0: any vector; solution must satisfy trivially
-    outs = {tuple(linalg.solve_affine(linalg.zeros(1, 2), 2, [0], f4, s)) for s in range(64)}
-    assert len(outs) > 1
-    # F_2 example: solutions of x1 + x2 = 1
-    hits = set()
-    for seed in range(64):
-        x = linalg.solve_affine([[1, 1]], 2, [1], F2, seed)
-        assert tuple(x) in {(1, 0), (0, 1)}
-        hits.add(tuple(x))
-    assert hits == {(1, 0), (0, 1)}
-    with pytest.raises(ValueError):
-        linalg.solve_affine([[0, 0]], 2, [1], F2, 0)
-
-
-def test_solve_affine_uniform_within_5_sigma():
-    counts = {(1, 0): 0, (0, 1): 0}
-    trials = 10**4
-    for seed in range(trials):
-        counts[tuple(linalg.solve_affine([[1, 1]], 2, [1], F2, seed))] += 1
-    sigma = (trials * 0.5 * 0.5) ** 0.5
-    assert abs(counts[(1, 0)] - trials / 2) <= 5 * sigma
-
-
 def test_rng_streams_deterministic_and_split():
     a = linalg.rng_stream(7, "x").integers(0, 1000, size=5).tolist()
     b = linalg.rng_stream(7, "x").integers(0, 1000, size=5).tolist()

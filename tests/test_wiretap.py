@@ -1,46 +1,17 @@
-import itertools
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rankcodes import (BudgetError, CodeFileError, FieldTower, HypothesisError,
                        LinearCode, build_c_opt, cartesian, composition_search,
-                       coset_decode, coset_encode, gabidulin, grw_table_exact,
-                       leakage_exact, linalg, reducible, stronger_security_bound)
+                       gabidulin, grw_table_exact, leakage_exact, linalg,
+                       reducible, stronger_security_bound)
 from rankcodes import wiretap as wt
 from rankcodes.rankmetric import GaloisClosedSpace
 
-from conftest import random_full_rank, src_env
-
-
-# -- coset coding -------------------------------------------------------------
-
-def test_coset_encode_decode_roundtrip(f4):
-    code = random_full_rank(f4, 4, 2, seed=2, label="coset")
-    for seed in range(100):
-        for x in [(0, 0), (1, 3), (2, 2)]:
-            c = coset_encode(code, list(x), seed)
-            assert coset_decode(code, c) == x
-
-
-def test_coset_encode_full_rank_square(f4):
-    code = gabidulin(f4, 2, 2)
-    outs = {coset_encode(code, [1, 2], seed) for seed in range(10)}
-    assert len(outs) == 1  # square invertible: no freedom
-
-
-def test_coset_encode_zero_message_covers_kernel(f4):
-    code = LinearCode(f4, 2, [[1, 0]])
-    hits = {coset_encode(code, [0], seed) for seed in range(200)}
-    assert hits == {(0, v) for v in range(4)}
-
-
-def test_coset_encode_example_covers_coset(f4):
-    code = LinearCode(f4, 2, [[1, 0]])
-    hits = {coset_encode(code, [1], seed) for seed in range(200)}
-    assert hits == {(1, v) for v in range(4)}
+from conftest import leakage_joint_reference, random_full_rank, src_env
 
 
 # -- exact leakage --------------------------------------------------------------
@@ -100,6 +71,41 @@ def test_joint_enumeration_matches_exact_everywhere(f4):
             val = wt.leakage_joint_enumeration(code, B)
             assert val == leakage_exact(code, B).leakage
             assert val.denominator == 1
+
+
+F4, F8, F9 = FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2)
+# (tower, largest n): at most 1,024 atoms, so the per-atom reference stays quick
+_JOINT_TOWERS = [(F4, 5), (F8, 3), (F9, 3)]
+
+
+@st.composite
+def tapped_code(draw):
+    """A random [n, k] code, 0 <= k <= n, and mu <= n wiretap rows over F_q,
+    which may be dependent."""
+    t, nmax = draw(st.sampled_from(_JOINT_TOWERS))
+    n = draw(st.integers(1, nmax))
+
+    def rows(count, size):
+        return [draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+                for _ in range(count)]
+
+    G = rows(draw(st.integers(0, n)), t.order)
+    assume(linalg.rank(G, n, t) == len(G))
+    return LinearCode(t, n, G), rows(draw(st.integers(0, n)), t.p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tapped_code())
+@example((LinearCode(F9, 3, []), linalg.identity(3)))
+@example((LinearCode(F9, 2, [[1, 5]]), []))
+@example((LinearCode(F9, 3, [[1, 5, 7], [0, 1, 4]]), linalg.identity(3)))
+@example((LinearCode(F8, 3, [[1, 2, 4]]), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+@example((LinearCode(F4, 4, []), []))
+def test_joint_enumeration_matches_reference(case):
+    """The packed (p = 2) and tuple (odd p) counts give the information of
+    the per-atom loop with two vector–matrix products per atom."""
+    code, B = case
+    assert wt.leakage_joint_enumeration(code, B) == leakage_joint_reference(code, B)
 
 
 def test_joint_enumeration_budget(f8):
@@ -235,9 +241,8 @@ def test_leakage_report_for_reduction(f4):
 # -- wiretap file format ------------------------------------------------------------
 
 def test_wiretap_file_roundtrip(f4):
-    B = [[1, 0, 1], [0, 1, 1]]
-    text = wt.format_wiretap_file(f4, B)
-    assert wt.parse_wiretap_file(f4, text, 3) == B
+    text = "# two taps\nwiretap mu=2\nrow 1,0 0,0 1,0\n\nrow 0,0 1,0 1,0\n"
+    assert wt.parse_wiretap_file(f4, text, 3) == [[1, 0, 1], [0, 1, 1]]
 
 
 def test_wiretap_file_errors(f4):
