@@ -7,6 +7,9 @@ candidates one command enumerates, all of its tables priced together
 before the first candidate.  Every randomized
 subcommand requires an explicit --seed, and identical invocations with
 identical seeds produce byte-identical output.
+
+Each handler imports the modules it runs, so a command loads no oracle,
+equivalence or wiretap code it does not use.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from . import codes, equivalence, grw, wiretap
-from .errors import DEFAULT_BUDGET, BudgetError, CodeFileError, HypothesisError
+from . import codes
+from .errors import (DEFAULT_BUDGET, JOINT_BUDGET, BudgetError, CodeFileError,
+                     HypothesisError)
 from .field import FieldTower
-from .rankmetric import GaloisClosedSpace
 
 
 class _CliError(Exception):
@@ -182,7 +185,7 @@ def build_parser() -> _Parser:
     p = w.add_parser("empirical")
     p.add_argument("--input", required=True)
     p.add_argument("--wiretap", required=True)
-    p.add_argument("--budget", type=int, default=wiretap.JOINT_BUDGET)
+    p.add_argument("--budget", type=int, default=JOINT_BUDGET)
     p = w.add_parser("certify")
     p.add_argument("--input", required=True)
     p.add_argument("--wiretap", required=True)
@@ -250,6 +253,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_grw(args) -> int:
+    from . import grw
+
     if args.what == "exact":
         code = _plain(_load_code(args))
         report = grw.grw_report_exact(code, args.budget, args.method)
@@ -269,6 +274,8 @@ def _cmd_grw(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import grw
+
     obj = _load_code(args)
     code = _plain(obj)
     if args.what == "mrd":
@@ -279,6 +286,8 @@ def _cmd_check(args) -> int:
     elif args.what == "product":
         if not isinstance(obj, codes.Reduction):
             raise _CliError("check product needs a reduction (blocks line)")
+        from . import equivalence
+
         print(f"product={'true' if equivalence.exact_product_test(obj) else 'false'}")
     elif args.what == "mrd-rank":
         print(f"mrd_rank={grw.mrd_rank(code, args.budget)}")
@@ -292,6 +301,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import equivalence
+
     obj = _load_code(args)
     if args.what == "to-opt":
         result = equivalence.to_c_opt(_plain(obj), args.budget)
@@ -309,6 +320,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_wiretap(args) -> int:
+    from . import grw, wiretap
+    from .rankmetric import GaloisClosedSpace
+
     obj = _load_code(args)
     code = _plain(obj)
     B = wiretap.parse_wiretap_file(code.tower, _read(args.wiretap), code.n)

@@ -317,8 +317,7 @@ def reducible(mains: Sequence[LinearCode], *, seed: Optional[int] = None,
         for i in range(l):
             for j in range(i + 1, l):
                 rng = linalg.rng_stream(seed, f"offdiag:{i}:{j}")
-                vals = rng.integers(0, tower.order, size=(dims[i], lengths[j]))
-                blocks[(i, j)] = [[int(v) for v in row] for row in vals]
+                blocks[(i, j)] = rng.integers(0, tower.order, size=(dims[i], lengths[j]))
     elif fill != "zero":
         raise ValueError(f"unknown fill mode {fill!r}")
     return Reduction(tower, lengths, dims, blocks)
@@ -410,14 +409,17 @@ def mrd_plan(tower: FieldTower, n: int, k: int) -> MrdPlan:
         raise ValueError(f"dimension k={k} outside 1..{n}")
     l = -(-n // m)
     t = l * m - n
-    assert 0 <= t <= m - 1 and l > 0
+    if not (0 <= t <= m - 1 and l > 0):
+        raise AssertionError(f"n = l*m - t split failed: l={l}, t={t}")
     kprime = -(-k // l)
     s = l * kprime - k
-    assert 0 <= s <= l - 1 and kprime > 0
+    if not (0 <= s <= l - 1 and kprime > 0):
+        raise AssertionError(f"k = l*k' - s split failed: k'={kprime}, s={s}")
     a = -(-k * m // n) - kprime
     b = -(-t // l) - 1
     tprime = l * (m - b) - n
-    assert 0 < tprime <= l
+    if not 0 < tprime <= l:
+        raise AssertionError(f"t'={tprime} outside 1..{l}")
 
     if t == 0:
         case = 1
@@ -435,9 +437,11 @@ def mrd_plan(tower: FieldTower, n: int, k: int) -> MrdPlan:
                  + [(m - b - 1, kprime)] * (tprime - s)
                  + [(m - b - 1, kprime - 1)] * s)
         d1_case_bound = m - b - kprime
-    assert sum(L for L, _ in comps) == n and sum(d for _, d in comps) == k
+    if sum(L for L, _ in comps) != n or sum(d for _, d in comps) != k:
+        raise AssertionError(f"components {comps} do not add up to [{n}, {k}]")
     for L, d in comps:
-        assert 1 <= L <= m and 0 <= d <= L, "component shape violates dim <= length <= m"
+        if not (1 <= L <= m and 0 <= d <= L):
+            raise AssertionError(f"component ({L}, {d}) violates dim <= length <= m")
 
     hypotheses_ok = t <= l or n >= m * m
     branch = None
@@ -447,7 +451,9 @@ def mrd_plan(tower: FieldTower, n: int, k: int) -> MrdPlan:
         if t <= s or t * kprime > m * s:
             branch = 1
             d1_exact = (m * (n - k)) // n + 1
-            assert d1_exact == m - a - kprime + 1
+            if d1_exact != m - a - kprime + 1:
+                raise AssertionError(f"d1={d1_exact} disagrees with "
+                                     f"m - a - k' + 1 = {m - a - kprime + 1}")
             mrd = (m * k) % n == 0
         else:
             branch = 2
@@ -655,15 +661,13 @@ def random_block_transform(R: Reduction, seed: int) -> Dict[Tuple[int, int], Lis
         k_i = R.dims[i]
         rng = linalg.rng_stream(seed, f"transform-diag:{i}")
         while True:
-            rows = [[int(v) for v in rng.integers(0, tower.order, size=k_i)]
-                    for _ in range(k_i)]
+            rows = rng.integers(0, tower.order, size=(k_i, k_i))
             if linalg.rank(rows, k_i, tower) == k_i:
                 out[(i, i)] = rows
                 break
         for j in range(i + 1, R.l):
             rng = linalg.rng_stream(seed, f"transform-off:{i}:{j}")
-            out[(i, j)] = [[int(v) for v in rng.integers(0, tower.order, size=R.dims[j])]
-                           for _ in range(k_i)]
+            out[(i, j)] = rng.integers(0, tower.order, size=(k_i, R.dims[j]))
     return out
 
 

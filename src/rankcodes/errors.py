@@ -9,6 +9,7 @@ before its first candidate.
 from __future__ import annotations
 
 DEFAULT_BUDGET = 10**7
+JOINT_BUDGET = 10**6  # atoms of the wiretap joint-distribution enumeration
 
 
 class BudgetError(RuntimeError):

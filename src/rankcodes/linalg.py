@@ -24,7 +24,6 @@ parity check.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import sys
 from typing import Callable, Iterator, List, Optional, Sequence
@@ -147,19 +146,91 @@ def solve_right(M: Sequence[Sequence[int]], ncols: int, b: Sequence[int], tower)
     return x
 
 
-def rng_stream(seed: int, label: str = "") -> "numpy.random.Generator":
+_WORD = (1 << 64) - 1
+
+
+class PhiloxStream:
+    """Pure-Python Philox4x64-10 that draws what numpy's
+    ``Generator(Philox(key))`` draws, for :meth:`integers` only.
+
+    The 256-bit counter starts at 0 and steps before each block; the four
+    words of a block are handed out in order.  A 32-bit draw takes the low
+    half of a word and keeps the high half for the next 32-bit draw.
+    """
+
+    def __init__(self, key: int):
+        self._key = (key & _WORD, key >> 64)
+        self._counter = 0
+        self._words: List[int] = []
+        self._half: Optional[int] = None
+
+    def _next64(self) -> int:
+        if not self._words:
+            self._counter = (self._counter + 1) & ((1 << 256) - 1)
+            c = self._counter
+            c0, c1, c2, c3 = c & _WORD, (c >> 64) & _WORD, (c >> 128) & _WORD, c >> 192
+            k0, k1 = self._key
+            # ten rounds of Random123's Philox4x64: two 64x64 -> 128-bit
+            # products per round, then a Weyl step of the key
+            for _ in range(10):
+                p0 = 0xD2E7470EE14C6C93 * c0
+                p1 = 0xCA5A826395121157 * c2
+                c0, c1, c2, c3 = ((p1 >> 64) ^ c1 ^ k0, p1 & _WORD,
+                                  (p0 >> 64) ^ c3 ^ k1, p0 & _WORD)
+                k0 = (k0 + 0x9E3779B97F4A7C15) & _WORD
+                k1 = (k1 + 0xBB67AE8584CAA73B) & _WORD
+            self._words = [c3, c2, c1, c0]
+        return self._words.pop()
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def _below(self, n: int) -> int:
+        """Uniform draw from range(n), by Lemire's rejection as numpy does:
+        32-bit draws up to n = 2^32 (where it is one plain draw), 64-bit above."""
+        if n == 1:
+            return 0
+        bits, draw = (32, self._next32) if n <= 1 << 32 else (64, self._next64)
+        mask = (1 << bits) - 1
+        m = draw() * n
+        if m & mask < n:
+            threshold = (1 << bits) % n
+            while m & mask < threshold:
+                m = draw() * n
+        return m >> bits
+
+    def integers(self, low: int, high: int, size=None):
+        """Draws from range(low, high): one int for ``size=None``, a list for
+        an int size, a list of rows for ``size=(rows, cols)``."""
+        n = high - low
+        if n <= 0:
+            raise ValueError(f"empty range [{low}, {high})")
+        if size is None:
+            return low + self._below(n)
+        if isinstance(size, int):
+            return [low + self._below(n) for _ in range(size)]
+        rows, cols = size
+        return [[low + self._below(n) for _ in range(cols)] for _ in range(rows)]
+
+
+def rng_stream(seed: int, label: str = "") -> PhiloxStream:
     """Counter-based generator for the (seed, stream-label) pair.
 
     Philox streams keyed by a hash of the pair are independent and
     reproducible across platforms, so parallel workers can draw from
-    disjoint labels without coordination.  numpy is imported here, on the
-    first seeded draw, so runs without a seed never load it.
+    disjoint labels without coordination.  The key is the first 16 bytes
+    of sha256(f"{seed}:{label}"), little-endian, and the stream is the one
+    numpy's ``Generator(Philox(key))`` gives, drawn without numpy.
     """
-    import numpy as np
+    import hashlib
 
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    key = int.from_bytes(digest[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return PhiloxStream(int.from_bytes(digest[:16], "little"))
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:

@@ -24,11 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .codes import LinearCode, Reduction, _content_lines, _parse_row
-from .errors import DEFAULT_BUDGET, CodeFileError, HypothesisError, check_budget
+from .errors import DEFAULT_BUDGET, JOINT_BUDGET, CodeFileError, HypothesisError, check_budget
 from .grw import _exact_tables
 from .rankmetric import GaloisClosedSpace
-
-JOINT_BUDGET = 10**6
 
 
 @dataclass

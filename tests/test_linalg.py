@@ -59,28 +59,104 @@ def test_subspace_bases_are_canonical_rref(f9):
 
 
 def test_rng_streams_deterministic_and_split():
-    a = linalg.rng_stream(7, "x").integers(0, 1000, size=5).tolist()
-    b = linalg.rng_stream(7, "x").integers(0, 1000, size=5).tolist()
-    c = linalg.rng_stream(7, "y").integers(0, 1000, size=5).tolist()
+    a = linalg.rng_stream(7, "x").integers(0, 1000, size=5)
+    b = linalg.rng_stream(7, "x").integers(0, 1000, size=5)
+    c = linalg.rng_stream(7, "y").integers(0, 1000, size=5)
     assert a == b and a != c
 
 
-_LAZY_NUMPY = """
+# (seed, label, [(low, high, size), ...] drawn in turn from one stream, the
+# draws), recorded from numpy's Generator(Philox(key)).integers: bounds
+# below 2^32 (Lemire on 32-bit draws, 2^31 + 11 and 3*2^30 rejecting
+# often), 2^32 (one plain 32-bit draw), 2^40 and 3*2^62 (64-bit draws),
+# odd sizes whose spare 32-bit half carries into the next call, 2-D sizes,
+# nonzero low and a range of 1 (no draw)
+_PINNED_DRAWS = [
+    (7, "x", [(0, 2, 9), (0, 2, 4)],
+     [[0, 0, 1, 0, 1, 0, 1, 1, 1], [0, 1, 1, 0]]),
+    (11, "pin", [(0, 3, 7), (0, 7, 5)],
+     [[0, 1, 2, 2, 1, 2, 2], [0, 1, 4, 6, 6]]),
+    (5, "b", [(0, 2**16, 3), (0, 3**10, 5)],
+     [[47069, 51901, 41817], [10011, 41049, 45450, 45847, 16851]]),
+    (1, "rej", [(0, 2**31 + 11, 5), (0, 3 * 2**30, 5)],
+     [[188742558, 32210511, 306571667, 1303844591, 316462481],
+      [1867564486, 1484833398, 2048583495, 593380036, 290989741]]),
+    (4, "plain", [(0, 7, 1), (0, 2**32, 3), (0, 7, 2)],
+     [[6], [231828157, 3294930067, 1110113236], [4, 1]]),
+    (6, "wide", [(0, 3, 3), (0, 2**40, 3), (-2**62, 2**63, 3), (0, 3, 2)],
+     [[1, 1, 0], [382644017865, 796001728382, 498086808836],
+      [-39492692892219435, 6625398047849687311, -3898462198725601922], [1, 1]]),
+    (1, "offdiag:0:1", [(0, 16, (2, 3)), (0, 16, (3, 1))],
+     [[[7, 12, 5], [14, 11, 1]], [[5], [13], [6]]]),
+    (3001, "accept-oracle",
+     [(0, 2, None), (2, 4, None), (2, 6, None), (1, 3, None), (0, 1, 4), (5, 9, 3)],
+     [1, 3, 4, 2, [0, 0, 0, 0], [5, 6, 8]]),
+]
+
+
+@pytest.mark.parametrize("seed,label,calls,expect", _PINNED_DRAWS)
+def test_rng_stream_pinned_draws(seed, label, calls, expect):
+    rng = linalg.rng_stream(seed, label)
+    assert [rng.integers(low, high, size=size) for low, high, size in calls] == expect
+
+
+_SPANS = [1, 2, 3, 7, 2**16, 3**10, 2**31 + 11, 3 * 2**30, 2**32, 2**40, 3 * 2**62]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**40),
+       label=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+       calls=st.lists(st.tuples(st.integers(-2**62, 2**62), st.sampled_from(_SPANS),
+                                st.sampled_from([None, 1, 2, 3, 5, (2, 3), (3, 1)])),
+                      min_size=1, max_size=8))
+def test_rng_stream_matches_numpy_philox(seed, label, calls):
+    np = pytest.importorskip("numpy")
+    import hashlib
+
+    key = int.from_bytes(hashlib.sha256(f"{seed}:{label}".encode()).digest()[:16], "little")
+    ref = np.random.Generator(np.random.Philox(key=key))
+    rng = linalg.rng_stream(seed, label)
+    for low, span, size in calls:
+        low = min(low, 2**63 - span)  # numpy's default dtype is int64
+        want = np.asarray(ref.integers(low, low + span, size=size)).tolist()
+        assert rng.integers(low, low + span, size=size) == want
+
+
+_IMPORT_BOUNDARY = """
 import sys
+import rankcodes
+print(sorted(m for m in sys.modules if m.startswith("rankcodes.")))
 import rankcodes.cli
+print(sorted(m for m in ("rankcodes.grw", "rankcodes.equivalence", "rankcodes.wiretap")
+             if m in sys.modules))
 from rankcodes import FieldTower, codes
-print("numpy" in sys.modules)
 f4 = FieldTower(2, 2)
-codes.reducible([codes.gabidulin(f4, 2, 1), codes.gabidulin(f4, 2, 1)], seed=1)
+R = codes.reducible([codes.gabidulin(f4, 2, 1), codes.gabidulin(f4, 2, 1)], seed=1)
+codes.random_block_transform(R, 2)
 print("numpy" in sys.modules)
 """
 
 
-def test_numpy_loads_only_for_seeded_draws():
-    res = subprocess.run([sys.executable, "-c", _LAZY_NUMPY],
+def test_import_boundaries():
+    res = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY],
                          env=src_env(), capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "True"]
+    assert res.stdout.splitlines() == ["[]", "[]", "False"]
+
+
+def test_package_names_resolve_to_defining_modules():
+    import rankcodes
+
+    assert len(set(rankcodes.__all__)) == len(rankcodes.__all__)
+    for name in rankcodes.__all__:
+        obj = getattr(rankcodes, name)
+        assert obj.__module__.startswith("rankcodes.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert rankcodes.grw is sys.modules["rankcodes.grw"]
+    with pytest.raises(AttributeError):
+        rankcodes.no_such_name
+    with pytest.raises(ImportError):
+        from rankcodes import no_such_name  # noqa: F401
 
 
 @st.composite
