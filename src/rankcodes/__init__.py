@@ -18,19 +18,18 @@ _EXPORTS = {
     "linalg": (),
     "rankmetric": ("GaloisClosedSpace", "galois_closure", "matrix_rep", "rank_weight",
                    "vector_trace"),
-    "codes": ("DualReduction", "LinearCode", "MrdPlan", "Reduction",
+    "codes": ("LinearCode", "MrdPlan", "Reduction",
               "build_c_opt", "build_mrd_reducible", "cartesian", "dual_reduction",
               "exact_reduction_for_d1", "format_code_file", "gabidulin", "mrd_plan",
               "parse_code_file", "plotkin_variant", "reducible", "transform_reduction",
               "transposed_gabidulin"),
-    "grw": ("GrwReport", "decompose_by_blocks", "dual_grw_upper",
+    "grw": ("GrwReport", "dual_grw_upper",
             "grw_bounds_reducible", "grw_estimates_mrd", "grw_exact_closed_spaces",
             "grw_exact_subcodes", "grw_report_exact", "grw_table_exact",
             "is_degenerate", "mrd_rank", "mrd_rank_bounds", "singleton_check"),
     "equivalence": ("RankEquivalenceMap", "exact_product_test", "product_characterization",
-                    "reduction_equivalence_invariants", "to_c_opt"),
-    "wiretap": ("LeakageReport", "composition_search", "leakage_exact",
-                "stronger_security_bound"),
+                    "to_c_opt"),
+    "wiretap": ("LeakageReport", "composition_search", "leakage_exact"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

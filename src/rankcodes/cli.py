@@ -2,9 +2,10 @@
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on validation errors (bad flags, malformed files, violated
-preconditions), 2 on enumeration budget overruns.  ``--budget`` caps the
-candidates one command enumerates, all of its tables priced together
-before the first candidate.  Every randomized
+preconditions), 2 on enumeration budget overruns, 3 when a self-check
+behind a result fails (an internal fault, never a user error).
+``--budget`` caps the candidates one command enumerates, all of its
+tables priced together before the first candidate.  Every randomized
 subcommand requires an explicit --seed, and identical invocations with
 identical seeds produce byte-identical output.
 
@@ -20,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import codes
 from .errors import (DEFAULT_BUDGET, JOINT_BUDGET, BudgetError, CodeFileError,
-                     HypothesisError)
+                     HypothesisError, InvariantError)
 from .field import FieldTower
 
 
@@ -333,15 +334,17 @@ def _cmd_wiretap(args) -> int:
         report = wiretap.leakage_exact(code, B, table)
         _print(report.lines())
     elif args.what == "empirical":
+        # the enumeration raises unless its value equals the exact leakage
         value = wiretap.leakage_joint_enumeration(code, B, args.budget)
-        exact = wiretap.leakage_exact(code, B).leakage
-        print(f"mu={len(B)} empirical={value} exact={exact} agree=true")
+        print(f"mu={len(B)} empirical={value} exact={value} agree=true")
     elif args.what == "certify":
         if not isinstance(obj, codes.Reduction):
             raise _CliError("wiretap certify needs a reduction (blocks line)")
         V = GaloisClosedSpace.from_fq_rows(code.tower, B, code.n)
         search = wiretap.composition_search(obj, V, budget=args.budget)
         exact = wiretap.leakage_exact(code, B).leakage
+        if search.applicable and exact > search.bound:
+            raise InvariantError(f"leakage {exact} exceeds the certified bound {search.bound}")
         if not search.applicable:
             print(f"applicable=false exact={exact}")
         else:
@@ -380,6 +383,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
-from .errors import DEFAULT_BUDGET, CodeFileError, check_budget
+from .errors import DEFAULT_BUDGET, CodeFileError, InvariantError, check_budget
 from .field import FieldTower
 
 
@@ -231,29 +231,6 @@ class Reduction(_BlockRows):
         return f"Reduction(lengths={list(self.lengths)}, dims={list(self.dims)})"
 
 
-class DualReduction(_BlockRows):
-    """Block-lower-triangular generator of the dual of a reducible code.
-
-    Row group i has lengths[i] - dims[i] rows supported on column blocks
-    0..i; the diagonal block generates the dual of main component i.
-    """
-
-    @property
-    def dual_dims(self) -> Tuple[int, ...]:
-        return self._row_dims
-
-    def reversed_reduction(self) -> Reduction:
-        """Reverse the block order; the result generates a rank-equivalent
-        code with an upper-triangular reduction."""
-        l = self.l
-        lengths = tuple(reversed(self.lengths))
-        dims = tuple(reversed(self.dual_dims))
-        blocks = {}
-        for (i, j), rows in self.blocks.items():
-            blocks[(l - 1 - i, l - 1 - j)] = rows
-        return Reduction(self.tower, lengths, dims, blocks)
-
-
 # -- constructions ----------------------------------------------------
 
 
@@ -290,14 +267,12 @@ def cartesian(codes: Sequence[LinearCode]) -> Reduction:
 
 
 def reducible(mains: Sequence[LinearCode], *, seed: Optional[int] = None,
-              fill: str = "random",
-              off_blocks: Optional[Dict[Tuple[int, int], Sequence[Sequence[int]]]] = None,
-              ) -> Reduction:
+              fill: str = "random") -> Reduction:
     """Reduction with the given main components.
 
-    Off-diagonal blocks come from ``off_blocks`` when given, otherwise are
-    zero (``fill="zero"``) or seeded-random full matrices (``fill="random"``,
-    requires a seed); a fixed seed reproduces the reduction bit for bit.
+    Off-diagonal blocks are zero (``fill="zero"``) or seeded-random full
+    matrices (``fill="random"``, requires a seed); a fixed seed reproduces
+    the reduction bit for bit.
     """
     if not mains:
         raise ValueError("need at least one main component")
@@ -309,9 +284,7 @@ def reducible(mains: Sequence[LinearCode], *, seed: Optional[int] = None,
     blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]] = {
         (i, i): c.G for i, c in enumerate(mains)}
     l = len(mains)
-    if off_blocks is not None:
-        blocks.update(off_blocks)
-    elif fill == "random":
+    if fill == "random":
         if seed is None:
             raise ValueError("random fill requires a seed")
         for i in range(l):
@@ -323,12 +296,13 @@ def reducible(mains: Sequence[LinearCode], *, seed: Optional[int] = None,
     return Reduction(tower, lengths, dims, blocks)
 
 
-def dual_reduction(R: Reduction) -> DualReduction:
+def dual_reduction(R: Reduction) -> _BlockRows:
     """Structured dual: block-lower-triangular generator of C-perp whose
     diagonal blocks generate the duals of the main components.
 
-    Row group i is built from the dual of main component i; the blocks to the
-    left are particular solutions peeled off one block column at a time.
+    Row group i has lengths[i] − dims[i] rows on column blocks 0..i, built
+    from the dual of main component i; the blocks to the left are
+    particular solutions peeled off one block column at a time.
     """
     tower = R.tower
     l = R.l
@@ -345,14 +319,13 @@ def dual_reduction(R: Reduction) -> DualReduction:
                     rhs = tower.axpy(rhs, minus_one, contrib)
                 sol = linalg.solve_right(R.block(a, a), R.lengths[a], rhs, tower)
                 if sol is None:  # cannot happen: G_{a,a} has full row rank
-                    raise AssertionError("dual construction hit an inconsistent system")
+                    raise InvariantError("dual construction hit an inconsistent system")
                 parts[a] = sol
             for j in range(i + 1):
                 blocks[(i, j)].append(parts[j])
-    dual_dims = [R.lengths[i] - R.dims[i] for i in range(l)]
-    out = DualReduction(tower, R.lengths, dual_dims, blocks)
+    out = _BlockRows(tower, R.lengths, [n_i - k_i for n_i, k_i in zip(R.lengths, R.dims)], blocks)
     if not linalg.rowspace_equal(out.generator(), R.code().dual().G, R.n, tower):
-        raise AssertionError("structured dual does not match the kernel")
+        raise InvariantError("structured dual does not match the kernel")
     return out
 
 
@@ -410,16 +383,16 @@ def mrd_plan(tower: FieldTower, n: int, k: int) -> MrdPlan:
     l = -(-n // m)
     t = l * m - n
     if not (0 <= t <= m - 1 and l > 0):
-        raise AssertionError(f"n = l*m - t split failed: l={l}, t={t}")
+        raise InvariantError(f"n = l*m - t split failed: l={l}, t={t}")
     kprime = -(-k // l)
     s = l * kprime - k
     if not (0 <= s <= l - 1 and kprime > 0):
-        raise AssertionError(f"k = l*k' - s split failed: k'={kprime}, s={s}")
+        raise InvariantError(f"k = l*k' - s split failed: k'={kprime}, s={s}")
     a = -(-k * m // n) - kprime
     b = -(-t // l) - 1
     tprime = l * (m - b) - n
     if not 0 < tprime <= l:
-        raise AssertionError(f"t'={tprime} outside 1..{l}")
+        raise InvariantError(f"t'={tprime} outside 1..{l}")
 
     if t == 0:
         case = 1
@@ -438,10 +411,10 @@ def mrd_plan(tower: FieldTower, n: int, k: int) -> MrdPlan:
                  + [(m - b - 1, kprime - 1)] * s)
         d1_case_bound = m - b - kprime
     if sum(L for L, _ in comps) != n or sum(d for _, d in comps) != k:
-        raise AssertionError(f"components {comps} do not add up to [{n}, {k}]")
+        raise InvariantError(f"components {comps} do not add up to [{n}, {k}]")
     for L, d in comps:
         if not (1 <= L <= m and 0 <= d <= L):
-            raise AssertionError(f"component ({L}, {d}) violates dim <= length <= m")
+            raise InvariantError(f"component ({L}, {d}) violates dim <= length <= m")
 
     hypotheses_ok = t <= l or n >= m * m
     branch = None
@@ -452,7 +425,7 @@ def mrd_plan(tower: FieldTower, n: int, k: int) -> MrdPlan:
             branch = 1
             d1_exact = (m * (n - k)) // n + 1
             if d1_exact != m - a - kprime + 1:
-                raise AssertionError(f"d1={d1_exact} disagrees with "
+                raise InvariantError(f"d1={d1_exact} disagrees with "
                                      f"m - a - k' + 1 = {m - a - kprime + 1}")
             mrd = (m * k) % n == 0
         else:
@@ -478,7 +451,7 @@ def build_mrd_reducible(tower: FieldTower, plan: MrdPlan, seed: int) -> Reductio
     mains = [gabidulin(tower, L, d) for L, d in plan.components]
     R = reducible(mains, seed=seed, fill="random")
     if (R.n, R.k) != (plan.n, plan.k):
-        raise AssertionError(f"built an [{R.n}, {R.k}] code from an [{plan.n}, {plan.k}] plan")
+        raise InvariantError(f"built an [{R.n}, {R.k}] code from an [{plan.n}, {plan.k}] plan")
     return R
 
 
@@ -516,26 +489,15 @@ class TransposedGabidulin:
             out.append(linalg.transpose(M, self.tower.m))  # m x n
         return out
 
-    def vectors(self, budget: int = DEFAULT_BUDGET) -> List[List[int]]:
-        """Codewords as vectors in F_{q^m}^n via the ambient alpha-basis."""
-        alphas = self.tower.alphas
-        # entry j is sum_i M[i][j] * alpha_i: the rows of M weighted by the alphas
-        return [linalg.vec_mat(alphas, M, self.n, self.tower) for M in self.matrices(budget)]
 
-
-def transposed_gabidulin(tower: FieldTower, n: int, k: int,
-                         companion: Optional[FieldTower] = None,
-                         points: Optional[Sequence[int]] = None) -> TransposedGabidulin:
+def transposed_gabidulin(tower: FieldTower, n: int, k: int) -> TransposedGabidulin:
     """Source Gabidulin code of length m over F_{q^n}, codewords transposed
     into m x n matrices.  Needs n > m; k is the source dimension (<= m)."""
     m = tower.m
     if n <= m:
         raise ValueError(f"transposed construction needs n > m, got n={n}, m={m}")
-    if companion is None:
-        companion = FieldTower(tower.p, n)
-    if companion.p != tower.p or companion.m != n:
-        raise ValueError("companion tower must be F_{q^n} over the same prime")
-    source = gabidulin(companion, m, k, points)
+    companion = FieldTower(tower.p, n)
+    source = gabidulin(companion, m, k)
     return TransposedGabidulin(tower, companion, n, k, source, m - k + 1)
 
 
@@ -613,7 +575,7 @@ def exact_reduction_for_d1(R: Reduction, budget: int = DEFAULT_BUDGET) -> Reduct
     flat = [row for chunk in rows_by_block for row in chunk]
     out = Reduction.from_generator(tower, R.lengths, R.dims, flat)
     if not out.code().equals(R.code()):
-        raise AssertionError("the rewritten reduction generates a different code")
+        raise InvariantError("the rewritten reduction generates a different code")
     return out
 
 

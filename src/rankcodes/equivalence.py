@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, build_c_opt, cartesian
-from .errors import DEFAULT_BUDGET, HypothesisError
-from .grw import _exact_tables, grw_table_exact
+from .errors import DEFAULT_BUDGET, HypothesisError, InvariantError
+from .grw import grw_table_exact
 
 
 @dataclass
@@ -68,26 +68,6 @@ class RankEquivalenceMap:
     def apply_code(self, code: LinearCode) -> LinearCode:
         return LinearCode(self.tower, self.dst_n, [self.apply(row) for row in code.G])
 
-    def inverse(self) -> "RankEquivalenceMap":
-        return RankEquivalenceMap(self.tower, self.dst_basis, self.src_basis,
-                                  self.tower.inv(self.beta))
-
-    def compose(self, inner: "RankEquivalenceMap") -> "RankEquivalenceMap":
-        """self after inner, again in paired-basis form.
-
-        The image of an F_q vector under a map is its scalar times an F_q
-        vector, so dividing the composite images of inner's source basis
-        by the combined scalar recovers the paired target basis.
-        """
-        tower = self.tower
-        beta = tower.mul(self.beta, inner.beta)
-        inv = tower.inv(beta)
-        dst = []
-        for v in inner.src_basis:
-            img = self.apply(inner.apply(list(v)))
-            dst.append(tuple(tower.scale(inv, img)))
-        return RankEquivalenceMap(tower, inner.src_basis, tuple(dst), beta)
-
     def lines(self) -> List[str]:
         fmt = self.tower.format_scalar
         out = [f"map t={self.dim} n={self.src_n} n'={self.dst_n}"]
@@ -110,15 +90,17 @@ def dual_alpha_basis(tower) -> Tuple[int, ...]:
     e1 = [1] + [0] * (m - 1)
     beta = linalg.solve_right(linalg.transpose(A, m), m, e1, tower)
     if beta is None or linalg.rank(A, m, tower) != m:
-        raise AssertionError("Moore matrix of a basis must be invertible")
+        raise InvariantError("Moore matrix of a basis must be invertible")
     for l, expect in enumerate(linalg.identity(m)):
         row = [tower.frobenius(b, l) for b in beta]
         prod = linalg.vec_mat(row, A, m, tower)
-        assert prod == expect, "dual basis identity failed"
+        if prod != expect:
+            raise InvariantError("dual basis identity failed")
     B = [[tower.frobenius(b, j) for j in range(m)] for b in beta]
-    assert linalg.rank(B, m, tower) == m
-    back = linalg.vec_mat(list(tower.alphas), B, m, tower)
-    assert back == e1, "reverse dual basis identity failed"
+    if linalg.rank(B, m, tower) != m:
+        raise InvariantError("Moore matrix of the dual basis must be invertible")
+    if linalg.vec_mat(list(tower.alphas), B, m, tower) != e1:
+        raise InvariantError("reverse dual basis identity failed")
     return tuple(beta)
 
 
@@ -160,11 +142,11 @@ def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET,
         for b_i in beta:
             traces.append(rankmetric.vector_trace(tower, tower.scale(b_i, b_s)))
     if linalg.rank(traces, code.n, tower) != k * m:
-        raise AssertionError("trace vectors of a maximal-weight code must be independent")
+        raise InvariantError("trace vectors of a maximal-weight code must be independent")
     for s, b_s in enumerate(code.G):
         recon = linalg.vec_mat(tower.alphas, traces[s * m:(s + 1) * m], code.n, tower)
         if recon != list(b_s):
-            raise AssertionError(f"reconstruction identity failed for generator row {s}")
+            raise InvariantError(f"reconstruction identity failed for generator row {s}")
 
     dst = linalg.identity(k * m)
     psi = RankEquivalenceMap(tower, tuple(tuple(r) for r in traces),
@@ -172,7 +154,7 @@ def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET,
     c_opt = build_c_opt(tower, k)
     image = psi.apply_code(code)
     if not image.equals(c_opt.code()):
-        raise AssertionError("image of the generator must be the canonical code")
+        raise InvariantError("image of the generator must be the canonical code")
     return ToOptResult(psi, c_opt, True)
 
 
@@ -212,8 +194,8 @@ def product_characterization(parts: Sequence[LinearCode]) -> ProductCharacteriza
     sum_basis = [list(row) for cl in closures for row in cl.basis]
     # the closure of the sum is the sum of the closures, so condition 2
     # (the closures sum directly) is exactly condition 3 (additive dims)
-    assert total == linalg.rank(sum_basis, n, tower), \
-        "closure of the sum differs from the sum of closures"
+    if total != linalg.rank(sum_basis, n, tower):
+        raise InvariantError("closure of the sum differs from the sum of closures")
     deficiency = sum(dims) - total
     if deficiency:
         return ProductCharacterization(False, dims, total, deficiency, None, None)
@@ -234,7 +216,8 @@ def product_characterization(parts: Sequence[LinearCode]) -> ProductCharacteriza
         offset += cl.dim
     product = cartesian([f for f in factors if f is not None])
     image = psi.apply_code(LinearCode(tower, n, stacked))
-    assert image.equals(product.code()), "witness image must be the product"
+    if not image.equals(product.code()):
+        raise InvariantError("witness image must be the product")
     return ProductCharacterization(True, dims, total, 0, psi, product)
 
 
@@ -258,85 +241,6 @@ def exact_product_test(R: Reduction) -> bool:
             for row in R.block(i, j):
                 if any(row) and not comp.contains_vector(row):
                     cond4 = False
-    assert cond1 == cond2 == cond3 == cond4, "product criteria disagree"
+    if not cond1 == cond2 == cond3 == cond4:
+        raise InvariantError("product criteria disagree")
     return cond1
-
-
-@dataclass
-class ReductionEquivalenceReport:
-    applicable: bool
-    degenerate_mains: List[int]
-    triangular: bool
-    mains_equivalent: List[bool]
-    rows_equivalent: List[bool]
-    main_witnesses: List[Optional[RankEquivalenceMap]]
-
-
-def reduction_equivalence_invariants(R: Reduction, R2: Reduction,
-                                     A_rows: Sequence[Sequence[int]],
-                                     budget: int = DEFAULT_BUDGET) -> ReductionEquivalenceReport:
-    """Check the invariants a base-field equivalence between reductions
-    must satisfy: block triangularity of the connecting matrix and rank
-    equivalence of the matching main and row components.
-
-    The check requires non-degenerate main components and a map that
-    sends generator rows to generator rows; both are verified, and a
-    degenerate main component is a hypothesis violation (reported, with
-    the component checks skipped).
-    """
-    tower = R.tower
-    if R.lengths != R2.lengths or R.dims != R2.dims:
-        raise HypothesisError("reductions must share block sizes")
-    n = R.n
-    A_rows = [list(row) for row in A_rows]
-    if len(A_rows) != n or any(len(row) != n for row in A_rows):
-        raise ValueError("the connecting matrix must be n x n")
-    for row in A_rows:
-        for x in row:
-            if not tower.in_subfield(x):
-                raise ValueError("the connecting matrix must have entries in F_q")
-    if linalg.rank(A_rows, n, tower) != n:
-        raise ValueError("the connecting matrix must be invertible")
-    mapped = linalg.matmul(R.generator(), A_rows, tower)
-    if [list(r) for r in mapped] != [list(r) for r in R2.generator()]:
-        raise HypothesisError("the map must carry generator rows to generator rows")
-
-    degenerate = [i for i in range(R.l)
-                  if R.dims[i] and rankmetric.closure_dim(
-                      tower, R.block(i, i), R.lengths[i]) < R.lengths[i]]
-    if degenerate:
-        return ReductionEquivalenceReport(False, degenerate, False, [], [], [])
-
-    offsets = [R.col_offset(j) for j in range(R.l)] + [n]
-    triangular = True
-    for i in range(R.l):
-        for j in range(i):
-            for r in range(offsets[i], offsets[i + 1]):
-                if any(A_rows[r][c] for c in range(offsets[j], offsets[j + 1])):
-                    triangular = False
-    assert triangular, "equivalence of reductions forces a triangular connecting matrix"
-
-    mains_eq: List[bool] = []
-    rows_eq: List[bool] = []
-    witnesses: List[Optional[RankEquivalenceMap]] = []
-    global_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in linalg.identity(n)),
-                                    tuple(tuple(r) for r in A_rows), 1)
-    # weight tables of the main and row components of both sides, under one budget
-    tables = iter(_exact_tables([comp(i) for i in range(R.l) if R.dims[i]
-                                 for comp in (R.main_component, R2.main_component,
-                                              R.row_component, R2.row_component)], budget))
-    for i in range(R.l):
-        n_i = R.lengths[i]
-        diag = [row[offsets[i]:offsets[i + 1]] for row in A_rows[offsets[i]:offsets[i + 1]]]
-        block_map = RankEquivalenceMap(tower, tuple(tuple(r) for r in linalg.identity(n_i)),
-                                       tuple(tuple(r) for r in diag), 1)
-        witnesses.append(block_map)
-        if not R.dims[i]:
-            mains_eq.append(True)
-            rows_eq.append(True)
-            continue
-        mains_eq.append(next(tables) == next(tables)
-                        and block_map.apply_code(R.main_component(i)).equals(R2.main_component(i)))
-        rows_eq.append(next(tables) == next(tables)
-                       and global_map.apply_code(R.row_component(i)).equals(R2.row_component(i)))
-    return ReductionEquivalenceReport(True, [], triangular, mains_eq, rows_eq, witnesses)

@@ -4,6 +4,9 @@ Budget overruns are first-class results, never silent truncation: a
 truncated minimum would be an invalid bound pretending to be exact.  A
 budget counts candidates; :func:`check_budget` prices each enumeration once,
 before its first candidate.
+
+Every self-check raises :class:`InvariantError`, never a bare ``assert``,
+so the checks behind a printed result still run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ def check_budget(count: int, budget: int, what: str) -> None:
 
 class HypothesisError(ValueError):
     """A routine with mathematical preconditions was invoked outside them."""
+
+
+class InvariantError(AssertionError):
+    """A self-check failed: the program computed something a theorem or an
+    independent route contradicts."""
 
 
 class CodeFileError(ValueError):

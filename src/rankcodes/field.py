@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
+from .errors import InvariantError
 
 # Towers up to this order get log/antilog tables (a few MB at the cap);
 # above it every operation is polynomial arithmetic.
@@ -112,7 +113,7 @@ def default_modulus(p: int, m: int) -> Poly:
         cand = _digits(code, p, m) + (1,)
         if check_irreducible(p, cand):
             return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InvariantError("no irreducible polynomial found")  # unreachable
 
 
 def _digits(code: int, p: int, m: int) -> Poly:
@@ -175,7 +176,7 @@ class FieldTower:
             for i in range(m):
                 s = self.add(s, self.frobenius(p**j, i))
             if s >= p:
-                raise AssertionError("trace of a monomial left the base field")
+                raise InvariantError("trace of a monomial left the base field")
             tr.append(s)
         self._trace_monomials = tuple(tr)
 

@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, dual_reduction
-from .errors import DEFAULT_BUDGET, HypothesisError, check_budget
+from .errors import DEFAULT_BUDGET, HypothesisError, InvariantError, check_budget
 from .linalg import gaussian_binomial
 
 
@@ -75,19 +75,22 @@ class GrwReport:
             raise ValueError("report holds intervals, not an exact table")
         return [e.exact for e in self.entries]
 
-    def check_invariants(self, m: Optional[int] = None) -> None:
+    def check_invariants(self, m: int) -> None:
         """Interval sanity plus, when the table is exact, the Singleton cap
-        and the sharp consecutive-difference bounds."""
+        and the sharp consecutive-difference bounds 1 <= d_r − d_{r−1} <= m."""
         for e in self.entries:
-            assert e.lower <= e.upper
-            assert e.upper <= self.n
+            if not e.lower <= e.upper <= self.n:
+                raise InvariantError(f"r={e.r}: interval [{e.lower}, {e.upper}] "
+                                     f"does not lie in 0..n={self.n}")
         exacts = [e.exact for e in self.entries]
         if self.entries and all(x is not None for x in exacts):
             prev = 0
             for r, d in enumerate(exacts, start=1):
-                assert d <= self.n - self.k + r, "Singleton bound violated"
-                if m is not None:
-                    assert 1 <= d - prev <= m, "consecutive weights out of range"
+                if d > self.n - self.k + r:
+                    raise InvariantError(f"d_{r}={d} exceeds the Singleton bound "
+                                         f"{self.n - self.k + r}")
+                if not 1 <= d - prev <= m:
+                    raise InvariantError(f"d_{r} − d_{r - 1} = {d - prev} outside 1..{m}")
                 prev = d
 
 
@@ -253,27 +256,20 @@ def minplus(tables: Sequence[Sequence[int]], k: int) -> List[int]:
     return f  # type: ignore[return-value]
 
 
-def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET,
-                         main_tables: Optional[Sequence[Sequence[int]]] = None,
-                         row_tables: Optional[Sequence[Sequence[int]]] = None) -> GrwReport:
+def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET) -> GrwReport:
     """Interval report for a reducible code.
 
     Lower bounds come from min-plus composition of the main component
     tables, upper bounds from the row components, capped by the Singleton
     bound.  For cartesian reductions the two sides meet and the entries
-    are exact.  The component tables not given are priced together
-    against the one budget before the first is computed.
+    are exact.  The component tables are priced together against the one
+    budget before the first is computed.
     """
-    tower = R.tower
     n, k = R.n, R.k
-    given = (main_tables, row_tables)
-    pending = [comp(i) for tables, comp in zip(given, (R.main_component, R.row_component))
-               if tables is None for i in range(R.l)]
-    computed = iter(_exact_tables(pending, budget))
-    main_tables, row_tables = [t if t is not None else [next(computed) for _ in range(R.l)]
-                               for t in given]
-    low = minplus(main_tables, k)
-    up_raw = minplus(row_tables, k)
+    tables = _exact_tables([comp(i) for comp in (R.main_component, R.row_component)
+                            for i in range(R.l)], budget)
+    low = minplus(tables[:R.l], k)
+    up_raw = minplus(tables[R.l:], k)
     cart = R.is_cartesian()
     entries = []
     for r in range(1, k + 1):
@@ -281,7 +277,7 @@ def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET,
         upper = min(up_raw[r], singleton)
         lower = low[r]
         if lower > upper:
-            raise AssertionError(f"bounds crossed at r={r}: lower {lower} > upper {upper}")
+            raise InvariantError(f"bounds crossed at r={r}: lower {lower} > upper {upper}")
         exact = lower if lower == upper else None
         if cart:
             method = "cartesian-corollary"
@@ -290,28 +286,31 @@ def grw_bounds_reducible(R: Reduction, budget: int = DEFAULT_BUDGET,
         else:
             method = "singleton"
         entries.append(GrwEntry(r, lower, upper, exact, method))
-    degenerate = R.code().closure_dim < n
-    if k:
-        mrd, defect = singleton_check(tower.m, n, k, entries[0].lower, entries[0].upper)
-    else:
-        mrd = defect = None
-    mrd_rank = None
-    if entries and all(e.exact is not None for e in entries):
-        mrd_rank = mrd_rank_from_table([e.exact for e in entries], n, k)
-    return GrwReport(n, k, entries, mrd, defect, mrd_rank, degenerate)
+    return _checked_report(R.code(), entries)
 
 
 def grw_report_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
                      method: str = "auto") -> GrwReport:
     table, tag = grw_table_exact(code, budget, method)
-    entries = [GrwEntry(r, d, d, d, tag) for r, d in enumerate(table, start=1)]
-    degenerate = (table[-1] < code.n) if table else (code.n > 0)
-    if code.k:
-        mrd, defect = singleton_check(code.tower.m, code.n, code.k, table[0], table[0])
-        mrd_rank = mrd_rank_from_table(table, code.n, code.k)
-    else:
-        mrd = defect = mrd_rank = None
-    return GrwReport(code.n, code.k, entries, mrd, defect, mrd_rank, degenerate)
+    return _checked_report(code, [GrwEntry(r, d, d, d, tag) for r, d in enumerate(table, start=1)])
+
+
+def _checked_report(code: LinearCode, entries: List[GrwEntry]) -> GrwReport:
+    """The report of ``entries``: MRD verdict and defect from the interval
+    of d_1, the MRD rank when every entry is exact, and degeneracy from
+    dim C*, which an exact d_k must equal.  Its invariants are checked
+    before it is returned."""
+    n, k, m = code.n, code.k, code.tower.m
+    mrd, defect = singleton_check(m, n, k, entries[0].lower, entries[0].upper) if k else (None, None)
+    mrd_rank = None
+    table = [e.exact for e in entries]
+    if k and None not in table:
+        if table[-1] != code.closure_dim:
+            raise InvariantError(f"d_k={table[-1]} differs from dim C*={code.closure_dim}")
+        mrd_rank = mrd_rank_from_table(table, n, k)
+    report = GrwReport(n, k, entries, mrd, defect, mrd_rank, is_degenerate(code))
+    report.check_invariants(m)
+    return report
 
 
 def grw_estimates_mrd(plan) -> List[int]:
@@ -326,9 +325,9 @@ def grw_estimates_mrd(plan) -> List[int]:
 
     def put(r: int, v: int) -> None:
         if not 1 <= r <= k:
-            raise AssertionError(f"estimate range leaked r={r}")
+            raise InvariantError(f"estimate range leaked r={r}")
         if vals[r] is not None:
-            raise AssertionError(f"estimate ranges overlap at r={r}")
+            raise InvariantError(f"estimate ranges overlap at r={r}")
         vals[r] = v
 
     if t <= s:
@@ -352,7 +351,7 @@ def grw_estimates_mrd(plan) -> List[int]:
             for r in range((j - 1) * (kp - 1) + l - s + 1, j * (kp - 1) + l - s + 1):
                 put(r, j * (m - kp) + r - t + s)
     if any(v is None for v in vals[1:]):
-        raise AssertionError("estimate ranges do not tile 1..k")
+        raise InvariantError("estimate ranges do not tile 1..k")
     return vals[1:]  # type: ignore[return-value]
 
 
@@ -428,12 +427,10 @@ class DegeneracyReport:
     column_degenerate: List[bool]
 
     def check_implications(self) -> None:
-        if self.code_degenerate:
-            assert any(self.main_degenerate), \
-                "degenerate reducible code with no degenerate main component"
-        if any(self.column_degenerate):
-            assert self.code_degenerate, \
-                "degenerate column component but non-degenerate code"
+        if self.code_degenerate and not any(self.main_degenerate):
+            raise InvariantError("degenerate reducible code with no degenerate main component")
+        if any(self.column_degenerate) and not self.code_degenerate:
+            raise InvariantError("degenerate column component but non-degenerate code")
 
 
 def degeneracy_report(R: Reduction) -> DegeneracyReport:
@@ -458,26 +455,3 @@ def dual_grw_upper(R: Reduction, budget: int = DEFAULT_BUDGET) -> List[int]:
     tables = _exact_tables([R.column_component(j).dual() for j in range(R.l)], budget)
     vals = minplus(tables, R.n - khat)
     return vals[1:]
-
-
-def decompose_by_blocks(R: Reduction, rows: Sequence[Sequence[int]]) -> List[Tuple[int, List[List[int]]]]:
-    """Split a subcode D of a reducible code into summands supported no
-    earlier than their leading block.
-
-    Returns [(i, basis_i), ...] with D the direct sum of the pieces, each
-    piece's vectors having their first nonzero block at index i.  The
-    pieces are read off the RREF of D grouped by pivot block.
-    """
-    tower = R.tower
-    code = R.code()
-    for row in rows:
-        if not code.contains_vector(row):
-            raise ValueError("the given space is not inside the code")
-    reduced, pivots = linalg.rref(list(rows), R.n, tower)
-    reduced = reduced[: len(pivots)]
-    offsets = [R.col_offset(j) for j in range(R.l)] + [R.n]
-    groups: dict[int, List[List[int]]] = {}
-    for row, piv in zip(reduced, pivots):
-        blk = next(i for i in range(R.l) if offsets[i] <= piv < offsets[i + 1])
-        groups.setdefault(blk, []).append(list(row))
-    return sorted(groups.items())

@@ -28,6 +28,8 @@ import itertools
 import sys
 from typing import Callable, Iterator, List, Optional, Sequence
 
+from .errors import InvariantError
+
 Row = List[int]
 Rows = List[Row]
 
@@ -241,7 +243,8 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     for i in range(d):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"Gaussian binomial [{n} {d}]_{q} is not an integer")
     return num // den
 
 

@@ -145,9 +145,6 @@ class GaloisClosedSpace:
         reduced = linalg.rref_nonzero(rows, n, tower)
         return cls(tower, n, tuple(tuple(r) for r in reduced))
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return linalg.rank(self.basis + (tuple(vec),), self.n, self.tower) == self.dim
-
 
 def galois_closure(tower, rows: Sequence[Sequence[int]], ncols: int) -> GaloisClosedSpace:
     """Galois closure of the row space, as its canonical F_q basis: the

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .codes import LinearCode, Reduction, _content_lines, _parse_row
-from .errors import DEFAULT_BUDGET, JOINT_BUDGET, CodeFileError, HypothesisError, check_budget
+from .errors import DEFAULT_BUDGET, JOINT_BUDGET, CodeFileError, InvariantError, check_budget
 from .grw import _exact_tables
 from .rankmetric import GaloisClosedSpace
 
@@ -34,14 +34,10 @@ class LeakageReport:
     mu: int
     leakage: int
     worst_case_r: Optional[int] = None
-    theorem_bound: Optional[int] = None
 
     def lines(self) -> List[str]:
         wc = "-" if self.worst_case_r is None else str(self.worst_case_r)
-        out = [f"mu={self.mu} leakage={self.leakage} worst_case_r={wc}"]
-        if self.theorem_bound is not None:
-            out.append(f"certified_bound={self.theorem_bound}")
-        return out
+        return [f"mu={self.mu} leakage={self.leakage} worst_case_r={wc}"]
 
 
 def _check_wiretap_rows(tower, B_rows: Sequence[Sequence[int]], n: int) -> None:
@@ -73,31 +69,13 @@ def leakage_exact(code: LinearCode, B_rows: Sequence[Sequence[int]],
     return LeakageReport(len(B_rows), leak, worst)
 
 
-def leakage_report_for_reduction(R: Reduction, B_rows: Sequence[Sequence[int]],
-                                 table: Optional[Sequence[int]] = None,
-                                 component_tables: Optional[Sequence[Sequence[int]]] = None,
-                                 budget: int = DEFAULT_BUDGET) -> LeakageReport:
-    """Exact leakage plus the certified per-block upper bound, when the
-    observation space admits one."""
-    code = R.code()
-    rep = leakage_exact(code, B_rows, table)
-    V = GaloisClosedSpace.from_fq_rows(R.tower, B_rows, code.n)
-    search = composition_search(R, V, tables=component_tables, budget=budget)
-    if search.applicable:
-        rep.theorem_bound = search.bound
-        if rep.leakage > search.bound:
-            raise AssertionError(f"leakage {rep.leakage} exceeds the certified "
-                                 f"bound {search.bound}")
-    return rep
-
-
 def _int_log(value: int, q: int) -> int:
     e = 0
     while value % q == 0:
         value //= q
         e += 1
     if value != 1:
-        raise AssertionError(f"count {value * q**e} is not a power of {q}")
+        raise InvariantError(f"count {value * q**e} is not a power of {q}")
     return e
 
 
@@ -157,7 +135,7 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     I = H(S) + H(W) − H(S, W) is one integer numerator over atoms·m, in
     packet units.  The budget is checked on the atoms before any work, and
     the result is compared with the intersection-dimension formula
-    :func:`leakage_exact`; a mismatch raises AssertionError (also under
+    :func:`leakage_exact`; a mismatch raises InvariantError (also under
     ``python -O``).
     """
     tower = code.tower
@@ -185,7 +163,7 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     info = Fraction(num, atoms * m)
     exact = leakage_exact(code, B_rows).leakage
     if info != exact:
-        raise AssertionError(f"joint enumeration gave {info}, intersection gives {exact}")
+        raise InvariantError(f"joint enumeration gave {info}, intersection gives {exact}")
     return info
 
 
@@ -204,51 +182,6 @@ def projection_dims(R: Reduction, V: GaloisClosedSpace) -> List[int]:
     return dims
 
 
-def _component_tables(R: Reduction, budget: int,
-                      tables: Optional[Sequence[Sequence[int]]]) -> List[List[int]]:
-    if tables is not None:
-        return [list(t) for t in tables]
-    return _exact_tables([R.main_component(i) for i in range(R.l)], budget)
-
-
-@dataclass
-class StrongerSecurityResult:
-    bound: int
-    composition: Tuple[int, ...]
-    strict_blocks: Tuple[int, ...]
-    zero_leakage: bool
-
-
-def stronger_security_bound(R: Reduction, V: GaloisClosedSpace,
-                            composition: Sequence[int],
-                            tables: Optional[Sequence[Sequence[int]]] = None,
-                            budget: int = DEFAULT_BUDGET) -> StrongerSecurityResult:
-    """Certified upper bound on dim(C ∩ V) from per-block weights.
-
-    For each block, the projection of V must fit under the r_i-th weight
-    of the main component; blocks where it fits strictly are subtracted.
-    Anything outside those hypotheses is refused.
-    """
-    tabs = _component_tables(R, budget, tables)
-    dims = projection_dims(R, V)
-    if len(composition) != R.l:
-        raise ValueError("composition length differs from the block count")
-    strict = []
-    for i, r_i in enumerate(composition):
-        if not 0 <= r_i <= R.dims[i]:
-            raise HypothesisError(f"r_{i+1}={r_i} outside 0..{R.dims[i]}")
-        cap = 0 if r_i == 0 else tabs[i][r_i - 1]
-        if dims[i] > cap:
-            raise HypothesisError(
-                f"projection {i+1} has dimension {dims[i]} > d_(R,{r_i}) = {cap}")
-        if dims[i] < cap:
-            strict.append(i)
-    bound = sum(composition) - len(strict)
-    zero = all(dims[i] < tabs[i][0] for i in range(R.l) if R.dims[i]) and \
-        all(dims[i] == 0 for i in range(R.l) if not R.dims[i])
-    return StrongerSecurityResult(bound, tuple(composition), tuple(strict), zero)
-
-
 @dataclass
 class CompositionSearchResult:
     applicable: bool
@@ -257,15 +190,20 @@ class CompositionSearchResult:
 
 
 def composition_search(R: Reduction, V: GaloisClosedSpace,
-                       tables: Optional[Sequence[Sequence[int]]] = None,
                        budget: int = DEFAULT_BUDGET) -> CompositionSearchResult:
-    """Tightest certified bound over all admissible compositions.
+    """Tightest certified upper bound on dim(C ∩ V) over all admissible
+    compositions r = (r_1, ..., r_l), 0 <= r_i <= k_i.
 
-    The per-block contribution r_i - [strict] is independent across
-    blocks, so the search minimizes each block separately.  When some
-    block admits no valid r_i at all, the certificate is not applicable.
+    A composition is admissible when the projection of V on each block i
+    fits under the r_i-th weight of main component i (0 for r_i = 0); its
+    bound is the sum of the r_i less the blocks where the projection fits
+    strictly.  The per-block contribution r_i - [strict] is independent
+    across blocks, so the search minimizes each block separately.  When
+    some block admits no valid r_i at all, the certificate is not
+    applicable.  The main component tables are priced together against
+    the one budget.
     """
-    tabs = _component_tables(R, budget, tables)
+    tabs = _exact_tables([R.main_component(i) for i in range(R.l)], budget)
     dims = projection_dims(R, V)
     best_comp = []
     total = 0
@@ -281,16 +219,6 @@ def composition_search(R: Reduction, V: GaloisClosedSpace,
         best_comp.append(r_i)
         total += contrib
     return CompositionSearchResult(True, total, tuple(best_comp))
-
-
-def copt_full_block_bound(R: Reduction, V: GaloisClosedSpace) -> int:
-    """For the all-weights-maximal product code: the leakage is at most
-    the number of blocks whose projection is everything."""
-    if any(R.dims[i] != 1 or R.lengths[i] != R.tower.m for i in range(R.l)):
-        raise HypothesisError("this bound is for the k-fold product of "
-                              "one-dimensional full-length components")
-    dims = projection_dims(R, V)
-    return sum(1 for d in dims if d == R.tower.m)
 
 
 # -- wiretap file format ------------------------------------------------

@@ -1,11 +1,13 @@
 import itertools
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
-from rankcodes import FieldTower, LinearCode, linalg, rankmetric
+from rankcodes import FieldTower, HypothesisError, LinearCode, grw_table_exact, linalg, rankmetric
 
 
 @pytest.fixture(scope="session")
@@ -117,6 +119,47 @@ def _exponent(value, q):
         e += 1
     assert value == 1, "a count is not a power of q"
     return e
+
+
+@dataclass
+class StrongerSecurityResult:
+    bound: int
+    composition: Tuple[int, ...]
+    strict_blocks: Tuple[int, ...]
+    zero_leakage: bool
+
+
+def stronger_security_bound(R, V, composition, tables=None):
+    """The per-composition theorem behind ``wiretap.composition_search``:
+    a certified upper bound on dim(C ∩ V) for one composition
+    r = (r_1, ..., r_l).
+
+    The projection of V on block i must fit under the r_i-th weight of
+    main component i (0 for r_i = 0); blocks where it fits strictly are
+    subtracted from sum r_i.  Anything outside those hypotheses is refused
+    with HypothesisError.  ``tables`` are the main components' weight
+    tables, computed when not given.
+    """
+    if tables is None:
+        tables = [grw_table_exact(R.main_component(i))[0] for i in range(R.l)]
+    if len(composition) != R.l:
+        raise ValueError("composition length differs from the block count")
+    dims = [linalg.rank([row[R.col_offset(i):R.col_offset(i) + R.lengths[i]] for row in V.basis],
+                        R.lengths[i], R.tower) for i in range(R.l)]
+    strict = []
+    for i, r_i in enumerate(composition):
+        if not 0 <= r_i <= R.dims[i]:
+            raise HypothesisError(f"r_{i+1}={r_i} outside 0..{R.dims[i]}")
+        cap = 0 if r_i == 0 else tables[i][r_i - 1]
+        if dims[i] > cap:
+            raise HypothesisError(
+                f"projection {i+1} has dimension {dims[i]} > d_(R,{r_i}) = {cap}")
+        if dims[i] < cap:
+            strict.append(i)
+    zero = all(dims[i] < tables[i][0] for i in range(R.l) if R.dims[i]) and \
+        all(dims[i] == 0 for i in range(R.l) if not R.dims[i])
+    return StrongerSecurityResult(sum(composition) - len(strict), tuple(composition),
+                                  tuple(strict), zero)
 
 
 def src_env():

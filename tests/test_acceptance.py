@@ -11,19 +11,18 @@ import time
 import pytest
 
 from rankcodes import (FieldTower, LinearCode, build_c_opt, build_mrd_reducible,
-                       cartesian, dual_grw_upper, gabidulin,
+                       cartesian, composition_search, dual_grw_upper, gabidulin,
                        grw_bounds_reducible, grw_estimates_mrd,
                        grw_exact_closed_spaces, grw_exact_subcodes,
                        grw_table_exact, leakage_exact, linalg, mrd_plan,
                        mrd_rank, plotkin_variant, product_characterization,
-                       reducible, singleton_check, stronger_security_bound,
-                       to_c_opt)
+                       reducible, singleton_check, to_c_opt)
 from rankcodes.codes import random_block_transform, transform_reduction, exact_reduction_for_d1
 from rankcodes.grw import mrd_rank_from_table
 from rankcodes.rankmetric import GaloisClosedSpace
 from rankcodes.wiretap import leakage_joint_enumeration
 
-from conftest import random_full_rank
+from conftest import random_full_rank, stronger_security_bound
 
 F2 = FieldTower(2, 1)
 F4 = FieldTower(2, 2)
@@ -277,9 +276,11 @@ def test_criterion_9_stronger_security():
     V = GaloisClosedSpace.from_fq_rows(F4, B, 4)
     table, _ = grw_table_exact(copt.code())
     assert V.dim == 2 * (F4.m - 1) >= table[0]
-    res = stronger_security_bound(copt, V, [1, 1])
     leak = leakage_exact(copt.code(), B).leakage
-    assert res.bound == 0 == leak
+    assert stronger_security_bound(copt, V, [1, 1]).bound == 0 == leak
+    # what `wiretap certify` prints: the best composition reaches the same bound
+    res = composition_search(copt, V)
+    assert res.applicable and res.bound == 0 and res.composition == (1, 1)
 
 
 # -- 11: Plotkin variants -----------------------------------------------------------------

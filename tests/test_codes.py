@@ -8,7 +8,7 @@ from rankcodes import (BudgetError, CodeFileError, FieldTower, LinearCode,
                        Reduction, build_c_opt, build_mrd_reducible, cartesian,
                        dual_reduction, exact_reduction_for_d1, format_code_file,
                        gabidulin, grw_exact_subcodes, grw_table_exact, linalg,
-                       mrd_plan, parse_code_file, plotkin_variant, rank_weight,
+                       mrd_plan, parse_code_file, plotkin_variant,
                        reducible, transform_reduction, transposed_gabidulin)
 from rankcodes.codes import random_block_transform
 
@@ -142,9 +142,6 @@ def test_structured_dual(f8):
     for i in range(3):
         diag = [list(r) for r in D.block(i, i)]
         assert linalg.rowspace_equal(diag, mains[i].dual().G, R.lengths[i], f8)
-    rev = D.reversed_reduction()
-    assert rev.lengths == tuple(reversed(R.lengths))
-    assert rev.code().k == R.n - R.k
 
 
 # -- the n > m MRD family -------------------------------------------------
@@ -251,8 +248,6 @@ def test_transposed_gabidulin_k1(f4):
     assert len(mats) == 8
     ranks = [linalg.rank(M, 3, f4) for M in mats if any(any(r) for r in M)]
     assert min(ranks) == 2  # transposition preserves rank
-    vecs = tg.vectors()
-    assert min(rank_weight(f4, v) for v in vecs if any(v)) == 2
 
 
 def test_transposed_gabidulin_budget(f4):
@@ -393,13 +388,12 @@ def test_three_block_reduction_machinery(f8):
     R = reducible(mains, seed=9)
     D = dual_reduction(R)
     assert D.code().equals(R.code().dual())
-    assert D.reversed_reduction().code().k == R.n - R.k
 
 
 def test_dual_reduction_with_full_dimension_block(f4):
     R = reducible([gabidulin(f4, 2, 2), gabidulin(f4, 2, 1)], seed=3)
     D = dual_reduction(R)
-    assert D.dual_dims == (0, 1)
+    assert [len(D.block(i, i)) for i in range(2)] == [0, 1]  # n_i − k_i rows
     assert D.code().equals(R.code().dual())
 
 

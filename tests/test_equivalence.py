@@ -5,11 +5,10 @@ import sys
 import pytest
 
 from rankcodes import (FieldTower, HypothesisError, LinearCode,
-                       RankEquivalenceMap, build_c_opt, cartesian,
-                       exact_product_test, gabidulin, grw_table_exact, linalg,
-                       plotkin_variant, product_characterization, rank_weight,
-                       reducible, reduction_equivalence_invariants, to_c_opt)
-from rankcodes.codes import random_block_transform, transform_reduction
+                       RankEquivalenceMap, Reduction, build_c_opt, cartesian,
+                       exact_product_test, format_code_file, gabidulin,
+                       grw_table_exact, linalg, plotkin_variant,
+                       product_characterization, rank_weight, to_c_opt)
 from rankcodes.equivalence import dual_alpha_basis
 
 from conftest import random_full_rank, src_env
@@ -52,15 +51,21 @@ def test_apply_membership_and_inverse(f4):
     with pytest.raises(ValueError):
         mp.apply([1, 0, 0])  # outside the source space
     v = [3, 2, 3]  # 3*(1,0,1) + 2*(0,1,0)
-    assert mp.inverse().apply(mp.apply(v)) == v
+    # the inverse swaps the paired bases and inverts the scalar
+    inverse = RankEquivalenceMap(f4, mp.dst_basis, mp.src_basis, f4.inv(mp.beta))
+    assert inverse.apply(mp.apply(v)) == v
 
 
 def test_composition_is_a_map_and_preserves_weight(f4):
+    # a composite of rank equivalences is again one in paired-basis form:
+    # it sends each F_q source vector to the combined scalar times an F_q
+    # vector, which the map's own validation checks
     first = RankEquivalenceMap(f4, ((1, 0, 1), (0, 1, 0)), ((1, 0), (0, 1)), beta=2)
     second = RankEquivalenceMap(f4, ((1, 0), (0, 1)), ((0, 1, 1), (1, 0, 0)), beta=3)
-    comp = second.compose(first)
-    assert isinstance(comp, RankEquivalenceMap)
-    assert comp.beta == f4.mul(2, 3)
+    beta = f4.mul(2, 3)
+    dst = tuple(tuple(f4.scale(f4.inv(beta), second.apply(first.apply(list(v)))))
+                for v in first.src_basis)
+    comp = RankEquivalenceMap(f4, first.src_basis, dst, beta)
     rng = linalg.rng_stream(13, "compose")
     for _ in range(15):
         coeffs = [int(v) for v in rng.integers(0, 4, size=2)]
@@ -98,31 +103,41 @@ def test_to_c_opt_idempotent(f4):
 
 
 _FORGED_CERTIFICATES = """
-from rankcodes import FieldTower, LinearCode, build_c_opt, cartesian, linalg
+from rankcodes import FieldTower, LinearCode, build_c_opt, cartesian
 from rankcodes import equivalence as eq, wiretap as wt
+from rankcodes.cli import main
 
-f4 = FieldTower(2, 2)
-copt = build_c_opt(f4, 2)
+copt = build_c_opt(FieldTower(2, 2), 2)
 eq.build_c_opt = lambda tower, k: cartesian([LinearCode(tower, 2, [[1, 0]])] * k)
 wt.composition_search = lambda *args, **kwargs: wt.CompositionSearchResult(True, 0, (0, 0))
-for check in (lambda: eq.to_c_opt(copt.code()),
-              lambda: wt.leakage_report_for_reduction(copt, linalg.identity(4))):
-    try:
-        check()
-    except AssertionError as exc:
-        print("debug" if __debug__ else "optimized", "raised:", exc)
+try:
+    eq.to_c_opt(copt.code())
+except AssertionError as exc:
+    print("debug" if __debug__ else "optimized", "raised:", exc)
+for argv in (["equiv", "to-opt", "--input", "opt.code"],
+             ["wiretap", "certify", "--input", "opt.code", "--wiretap", "full.wiretap"]):
+    print(" ".join(argv[:2]), "exit", main(argv))
 """
 
 
-def test_certificate_checks_survive_optimize():
+def test_certificate_checks_survive_optimize(f4, tmp_path):
     # a wrong canonical code and a certified bound below the leakage must
-    # still raise when python -O strips assert statements
-    res = subprocess.run([sys.executable, "-O", "-c", _FORGED_CERTIFICATES],
+    # still raise when python -O strips assert statements, and the CLI
+    # reports either one as a failed self-check: exit 3, no traceback
+    (tmp_path / "opt.code").write_text(format_code_file(build_c_opt(f4, 2)))
+    taps = ["row " + " ".join("1,0" if i == j else "0,0" for j in range(4)) for i in range(4)]
+    (tmp_path / "full.wiretap").write_text("\n".join(["wiretap mu=4"] + taps) + "\n")
+    res = subprocess.run([sys.executable, "-O", "-c", _FORGED_CERTIFICATES], cwd=tmp_path,
                          env=src_env(), capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "optimized raised: image of the generator must be the canonical code",
-        "optimized raised: leakage 2 exceeds the certified bound 0",
+        "equiv to-opt exit 3",
+        "wiretap certify exit 3",
+    ]
+    assert res.stderr.splitlines() == [
+        "error: image of the generator must be the canonical code",
+        "error: leakage 2 exceeds the certified bound 0",
     ]
 
 
@@ -240,8 +255,8 @@ def test_exact_product_blockdiag(f4):
 def test_exact_product_rows_inside_component(f4):
     c1 = gabidulin(f4, 2, 1)
     c2 = gabidulin(f4, 2, 1)
-    inside = {(0, 1): [list(c2.G[0])]}  # coupling row inside the main component
-    R = reducible([c1, c2], off_blocks=inside)
+    # coupling row inside the main component
+    R = Reduction(f4, [2, 2], [1, 1], {(0, 0): c1.G, (0, 1): [c2.G[0]], (1, 1): c2.G})
     assert exact_product_test(R)
     assert not R.is_cartesian()
 
@@ -250,50 +265,5 @@ def test_exact_product_rows_outside_component(f4):
     c1 = gabidulin(f4, 2, 1)
     c2 = gabidulin(f4, 2, 1)
     dualrow = c2.dual().G[0]  # independent from C_2, so membership fails
-    R = reducible([c1, c2], off_blocks={(0, 1): [list(dualrow)]})
+    R = Reduction(f4, [2, 2], [1, 1], {(0, 0): c1.G, (0, 1): [dualrow], (1, 1): c2.G})
     assert not exact_product_test(R)
-
-
-# -- reduction equivalence invariants ------------------------------------------------
-
-def _identity_matrix(n):
-    return linalg.identity(n)
-
-
-def test_reduction_equivalence_identity(f4):
-    R = reducible([gabidulin(f4, 2, 1), gabidulin(f4, 2, 2)], seed=3)
-    rep = reduction_equivalence_invariants(R, R, _identity_matrix(R.n))
-    assert rep.applicable and rep.triangular
-    assert all(rep.mains_equivalent) and all(rep.rows_equivalent)
-
-
-def test_reduction_equivalence_blockdiag_map(f4):
-    R = reducible([gabidulin(f4, 2, 1), gabidulin(f4, 2, 2)], seed=5)
-    A = linalg.zeros(4, 4)
-    P1 = _random_fq_invertible(f4, 2, seed=8)
-    P2 = _random_fq_invertible(f4, 2, seed=9)
-    for i in range(2):
-        for j in range(2):
-            A[i][j] = P1[i][j]
-            A[2 + i][2 + j] = P2[i][j]
-    G2 = linalg.matmul(R.generator(), A, f4)
-    from rankcodes.codes import Reduction
-    R2 = Reduction.from_generator(f4, R.lengths, R.dims, G2)
-    rep = reduction_equivalence_invariants(R, R2, A)
-    assert rep.applicable and rep.triangular
-    assert all(rep.mains_equivalent) and all(rep.rows_equivalent)
-
-
-def test_reduction_equivalence_refuses_degenerate_main(f4):
-    degenerate = LinearCode(f4, 2, [[1, 1]])  # closure dim 1 < 2
-    R = reducible([degenerate, gabidulin(f4, 2, 1)], fill="zero")
-    rep = reduction_equivalence_invariants(R, R, _identity_matrix(R.n))
-    assert not rep.applicable
-    assert rep.degenerate_mains == [0]
-
-
-def test_reduction_equivalence_requires_row_match(f4):
-    R = reducible([gabidulin(f4, 2, 1), gabidulin(f4, 2, 1)], seed=1)
-    other = reducible([gabidulin(f4, 2, 1), gabidulin(f4, 2, 1)], seed=2)
-    with pytest.raises(HypothesisError):
-        reduction_equivalence_invariants(R, other, _identity_matrix(R.n))

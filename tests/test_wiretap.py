@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 
@@ -7,11 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rankcodes import (BudgetError, CodeFileError, FieldTower, HypothesisError,
                        LinearCode, build_c_opt, cartesian, composition_search,
                        gabidulin, grw_table_exact, leakage_exact, linalg,
-                       reducible, stronger_security_bound)
+                       reducible)
 from rankcodes import wiretap as wt
 from rankcodes.rankmetric import GaloisClosedSpace
 
-from conftest import leakage_joint_reference, random_full_rank, src_env
+from conftest import (leakage_joint_reference, random_full_rank, src_env,
+                      stronger_security_bound)
 
 
 # -- exact leakage --------------------------------------------------------------
@@ -160,7 +162,7 @@ def test_stronger_security_remark_instance(f4):
     res = stronger_security_bound(copt, V, [1, 1])
     assert res.bound == 0 and res.zero_leakage
     assert leakage_exact(copt.code(), B).leakage == 0
-    assert wt.copt_full_block_bound(copt, V) == 0
+    assert _full_blocks(copt, V) == 0
 
 
 def test_stronger_security_hypothesis_gate(f4):
@@ -197,13 +199,12 @@ def test_composition_search(f4):
 
 def test_composition_search_dominates_exact_everywhere(f4):
     R = reducible([gabidulin(f4, 2, 1), gabidulin(f4, 2, 1)], seed=17)
-    tables = [grw_table_exact(R.main_component(i))[0] for i in range(R.l)]
     code = R.code()
     equality_seen = False
     for d in range(R.n + 1):
         for B in linalg.subspace_bases(R.n, d, range(2)):
             V = GaloisClosedSpace.from_fq_rows(f4, B, R.n)
-            res = composition_search(R, V, tables=tables)
+            res = composition_search(R, V)
             leak = leakage_exact(code, B).leakage
             if res.applicable:
                 assert res.bound >= leak
@@ -211,9 +212,14 @@ def test_composition_search_dominates_exact_everywhere(f4):
     assert equality_seen
 
 
+def _full_blocks(R, V):
+    """The all-weights-maximal product's corollary: the leakage is at most
+    the number of blocks onto which V projects fully."""
+    return sum(1 for d in wt.projection_dims(R, V) if d == R.tower.m)
+
+
 def test_copt_corollary_equals_search_on_product_spaces(f4):
     copt = build_c_opt(f4, 2)
-    tables = [grw_table_exact(copt.main_component(i))[0] for i in range(copt.l)]
     for d1 in range(3):
         for d2 in range(3):
             rows = []
@@ -223,19 +229,49 @@ def test_copt_corollary_equals_search_on_product_spaces(f4):
                     break
                 break
             V = GaloisClosedSpace.from_fq_rows(f4, rows, 4)
-            res = composition_search(copt, V, tables=tables)
+            res = composition_search(copt, V)
             assert res.applicable
-            assert res.bound == wt.copt_full_block_bound(copt, V)
+            assert res.bound == _full_blocks(copt, V)
 
 
-def test_leakage_report_for_reduction(f4):
-    copt = build_c_opt(f4, 2)
-    B = [[1, 0, 0, 0], [0, 0, 1, 0]]
-    rep = wt.leakage_report_for_reduction(copt, B)
-    assert rep.leakage == 0 and rep.theorem_bound == 0
-    assert rep.lines()[-1] == "certified_bound=0"
-    full = wt.leakage_report_for_reduction(copt, linalg.identity(4))
-    assert full.leakage == copt.k == full.theorem_bound
+@st.composite
+def tapped_reduction(draw):
+    """A seeded reducible code with 2 or 3 blocks of length <= 3 over F_4 or
+    F_9, main components of any dimension, and a Galois closed space V
+    spanned by random (possibly dependent) F_q rows."""
+    t = draw(st.sampled_from([F4, F9]))
+    mains = []
+    for _ in range(draw(st.integers(2, 3))):
+        n_i = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(0, t.order - 1), min_size=n_i, max_size=n_i),
+                             max_size=n_i))
+        mains.append(LinearCode(t, n_i, linalg.rref_nonzero(rows, n_i, t)))
+    R = reducible(mains, seed=draw(st.integers(0, 2**16)))
+    taps = draw(st.lists(st.lists(st.integers(0, t.p - 1), min_size=R.n, max_size=R.n),
+                         max_size=R.n))
+    return R, GaloisClosedSpace.from_fq_rows(t, taps, R.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tapped_reduction())
+def test_composition_search_is_the_best_composition(case):
+    """The per-block search gives the least bound of the per-composition
+    theorem over every composition, and is applicable exactly when some
+    composition is; its bound holds for the exact leakage."""
+    R, V = case
+    tables = [grw_table_exact(R.main_component(i))[0] for i in range(R.l)]
+    bounds = []
+    for comp in itertools.product(*(range(k_i + 1) for k_i in R.dims)):
+        try:
+            bounds.append(stronger_security_bound(R, V, comp, tables).bound)
+        except HypothesisError:
+            pass
+    res = composition_search(R, V)
+    assert res.applicable == bool(bounds)
+    if bounds:
+        assert res.bound == min(bounds)
+        assert res.bound == stronger_security_bound(R, V, res.composition, tables).bound
+        assert leakage_exact(R.code(), [list(r) for r in V.basis]).leakage <= res.bound
 
 
 # -- wiretap file format ------------------------------------------------------------
