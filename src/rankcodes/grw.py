@@ -10,11 +10,12 @@ space) meeting the code in dimension >= r.  It scans only the dimensions
 that decide the table, from the ceiling of each weight downward, each one
 as a tree of syndromes; for an MRD code the one dimension n − k decides
 every weight.  Both trees are the one walk of :func:`linalg.rank_leaves`:
-on the generator matrix over F_{q^m} with coordinate slices as items, or
-on Hᵀ over F_q with syndromes as items.  The oracles must agree; their
-enumeration costs differ by orders of magnitude depending on the
-parameters, so the auto mode picks whichever is cheaper and the report
-records which oracle produced each value.
+on the generator matrix over F_{q^m} with coordinate slices as items
+(over F_2, packed into one int and formed by XOR), or on Hᵀ over F_q with
+syndromes as items.  The oracles must agree; their enumeration costs
+differ by orders of magnitude depending on the parameters, so the auto
+mode picks whichever is cheaper and the report records which oracle
+produced each value.
 
 A budget is compared once, before the first candidate, with the price of
 what an entry point may enumerate: one table, or all the tables it needs.
@@ -180,10 +181,10 @@ def _closed_space_table(code: LinearCode, r: int) -> List[int]:
     k, top, tower = code.k, code.closure_dim, code.tower
     found = {top: k}  # d -> a value f(d) is known to reach
     walks: Dict[int, Iterator[int]] = {}
+    kernel = linalg.row_kernel(tower, _syndrome)
 
     def reaches(d: int, s: int) -> bool:
-        leaves = linalg.rank_leaves(tower, code.parity_t(), d, tower.p, _syndrome,
-                                    linalg.extend_rows, [])
+        leaves = linalg.rank_leaves(tower, code.parity_t(), d, tower.p, kernel, [])
         for rank in walks.setdefault(d, leaves):
             if d - rank >= s:
                 found[d] = d - rank

@@ -299,8 +299,13 @@ def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]]) -> list:
     return out
 
 
+def row_kernel(tower, item: Callable) -> tuple:
+    """The :func:`rank_leaves` kernel on plain rows, added by the tower."""
+    return (lambda tower, row: row), (lambda a, b: tower.axpy(a, 1, b)), item, extend_rows
+
+
 def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
-                item: Callable, extend: Callable, least: list) -> Iterator[int]:
+                kernel: tuple, least: list) -> Iterator[int]:
     """Ranks of V·M for the d-dimensional subspaces V of F^n (n = len(M),
     d >= 1, F the field of the codes below ``order``), one per leaf of a
     rank tree, skipping every subtree that cannot go below the least rank
@@ -308,8 +313,11 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
 
     V runs over the RREF bases in the order of :func:`subspace_bases`.  Row
     i of a pivot template is e_{p_i} plus a combination of its free
-    columns, so its image is M[p_i] + Σ v_j M[j]; the images of each row
-    are computed once per template, free values in lexicographic order, and
+    columns, so its image is M[p_i] + Σ v_j M[j].  With ``kernel`` =
+    (pack, add, item, extend), the images of each row are formed once per
+    template, free values in lexicographic order, from ``pack(tower,
+    M[p_i])`` by one ``add`` per free column of a multiple
+    ``pack(tower, v·M[j])`` (:func:`_multiples`, built on first use), and
     each is kept as ``item(tower, image)``.  The walk is depth first over
     the rows: each level inserts one item into its prefix's echelon with
     ``extend(tower, echelon, item)``, and a prefix whose echelon already
@@ -317,8 +325,8 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
     echelon only grows.  At each new least rank ``least`` is set to
     [basis of V, rank].
     """
-    n, axpy, values = len(M), tower.axpy, range(order)
-    best = sys.maxsize
+    n, best, multiples = len(M), sys.maxsize, {}
+    pack, add, item, extend = kernel
 
     def below(rows: list, echelon: list, path: tuple) -> Iterator[int]:
         nonlocal best
@@ -339,12 +347,27 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
     for pivots in itertools.combinations(range(n), d):
         rows = []
         for p in pivots:
-            images = [M[p]]
+            images = [pack(tower, M[p])]
             for j in range(p + 1, n):
                 if j not in pivots:
-                    images = [axpy(s, v, M[j]) for s in images for v in values]
+                    if j not in multiples:
+                        multiples[j] = _multiples(tower, M[j], order, pack, add)
+                    images = [add(s, t) for s in images for t in multiples[j]]
             rows.append([item(tower, s) for s in images])
         yield from below(rows, [], ())
+
+
+def _multiples(tower, row: Sequence[int], order: int, pack: Callable, add: Callable) -> list:
+    """``pack(tower, v·row)`` for v in range(order): v = w + c·p^i with
+    w < p^i gives v·row = w·row + c·(y^i·row), one ``add`` per multiple."""
+    out, step = [pack(tower, [0] * len(row))], 1
+    while step < order:
+        unit, block = pack(tower, tower.scale(step, row)), out
+        for _ in range(tower.p - 1):
+            block = [add(x, unit) for x in block]
+            out += block
+        step *= tower.p
+    return out
 
 
 def _template_basis(n: int, order: int, pivots: Sequence[int], path: Sequence[int]) -> Rows:

@@ -12,9 +12,11 @@ it).  For a basis c_1..c_r of D, the F_q span of the slices of the c_i is
 the rank support of D: its dimension is dim D*, and it is D* ∩ F_q^n, so
 D* is its F_{q^m}-span.  A basis suffices because the coordinate matrix of
 beta*c is an invertible F_q matrix times that of c.  No Frobenius power is
-taken.  Slices over F_2 are packed into ints and reduced by XOR, other
-slices by :func:`linalg.extend_rows`; this choice of kernel is the only
-place where the characteristic changes the code path.
+taken.  Slices are F_q-linear in the vector.  Over F_2 the m slices of a
+vector are packed into one int, so those of a sum are one XOR, and they
+are reduced by XOR; other slices are rows reduced by
+:func:`linalg.extend_rows`.  This choice of kernel (:func:`_walk_kernel`)
+is the only place where the characteristic changes the code path.
 
 The subcode oracle :func:`min_closure` is the rank-tree walk of
 :func:`linalg.rank_leaves` on the generator matrix, with the slices of each
@@ -28,6 +30,7 @@ basis so equality of spaces is plain equality of bases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -90,17 +93,30 @@ def _xor_extend(tower, echelon: list, slices: list) -> list:
     return out
 
 
-def _kernel(tower):
-    """The echelon kernel for the slices of :func:`_slices`."""
-    return _xor_extend if tower.p == 2 else linalg.extend_rows
+def _pack(tower, vec: Sequence[int]) -> int:
+    """The slices of vec over F_2 in one int: slice i takes bits i·n to
+    i·n + n − 1, for n = len(vec).  XOR of two packings is the packing of
+    the sum."""
+    n = len(vec)
+    return sum(s << i * n for i, s in enumerate(_slices(tower, vec)))
+
+
+def _walk_kernel(tower, n: int) -> tuple:
+    """The :func:`linalg.rank_leaves` kernel for the slices of rows of
+    length n: over F_2 an image is one :func:`_pack` int, added by XOR."""
+    if tower.p != 2:
+        return linalg.row_kernel(tower, _slices)
+    mask, shifts = (1 << n) - 1, range(0, tower.m * n, n)
+    return _pack, operator.xor, lambda tower, x: [(x >> s) & mask for s in shifts], _xor_extend
 
 
 def closure_dim(tower, rows: Sequence[Sequence[int]], ncols: int) -> int:
     """dim(D*) for D the row space: the F_q rank of the coordinate slices
     of the rows, which is the rank weight of D."""
-    extend, echelon = _kernel(tower), []
+    pack, _, item, extend = _walk_kernel(tower, ncols)
+    echelon = []
     for row in rows:
-        echelon = extend(tower, echelon, _slices(tower, row))
+        echelon = extend(tower, echelon, item(tower, pack(tower, row)))
     return len(echelon)
 
 
@@ -113,10 +129,12 @@ def min_closure(code, r: int) -> Tuple[List[List[int]], int]:
     generator matrix, at most [k r]_{q^m} of them: each level inserts the
     m coordinate slices of one codeword into its prefix's F_q echelon, so a
     prefix whose support already has the least dimension found is skipped.
-    The walk stops at the first weight r, the least possible.
+    The walk stops at the first weight r, the least possible.  Over F_2 a
+    codeword's slices are one int, one XOR per free message coordinate.
     """
     tower, least = code.tower, []
-    for w in linalg.rank_leaves(tower, code.G, r, tower.order, _slices, _kernel(tower), least):
+    kernel = _walk_kernel(tower, code.n)
+    for w in linalg.rank_leaves(tower, code.G, r, tower.order, kernel, least):
         if w == r:
             break
     return tuple(least)

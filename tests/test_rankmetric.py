@@ -169,9 +169,10 @@ def test_closure_kernel_matches_frobenius_stack(case):
         assert LinearCode(t, n, basis).closure_dim == len(ext)
 
 
-# (tower, largest k): every k and r whose plain scan stays small
-_WALK_TOWERS = [(FieldTower(2, 2), 4), (FieldTower(2, 3), 3), (FieldTower(3, 2), 3),
-                (FieldTower(2, 4), 3)]
+# (tower, largest k, largest n): every k and r whose plain scan stays
+# small; over F_32 and F_64 a packed image of n = 7 holds 35 and 42 bits
+_WALK_TOWERS = [(FieldTower(2, 2), 4, 6), (FieldTower(2, 3), 3, 6), (FieldTower(3, 2), 3, 6),
+                (FieldTower(2, 4), 3, 6), (FieldTower(2, 5), 2, 7), (FieldTower(2, 6), 2, 7)]
 
 
 @st.composite
@@ -179,8 +180,8 @@ def subcode_scan_code(draw):
     """A random code whose generator is the drawn rows themselves, not
     their RREF, so that the walk's first rows can already have full
     support."""
-    t, kmax = draw(st.sampled_from(_WALK_TOWERS))
-    n = draw(st.integers(1, 6))
+    t, kmax, nmax = draw(st.sampled_from(_WALK_TOWERS))
+    n = draw(st.integers(1, nmax))
     k = draw(st.integers(1, min(n, kmax)))
     rows = _rows(draw, t, n, k)
     assume(linalg.rank(rows, n, t) == k)
@@ -205,3 +206,51 @@ def test_subcode_walk_matches_reference(code):
             leaves.clear()
             assert rankmetric.min_closure(code, r) == min_closure_reference(code, r)
             assert 0 < len(leaves) <= linalg.gaussian_binomial(code.k, r, code.tower.order)
+
+
+# F_4 .. F_64, F_9 and F_27 with tables, and F_{2^17} above the table cap
+_MULTIPLE_TOWERS = [FieldTower(2, m) for m in range(2, 7)] + [FieldTower(3, 2), FieldTower(3, 3),
+                                                              FieldTower(2, 17)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_walk_multiples_match_slices(data):
+    """Every precomputed multiple v·x of the subcode walk splits into the
+    slices of tower.scale(v, x); over F_2 it is the int whose bits i·n to
+    i·n + n − 1 hold slice i."""
+    t = data.draw(st.sampled_from(_MULTIPLE_TOWERS))
+    n = data.draw(st.integers(1, 7))
+    x = data.draw(st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n))
+    pack, add, item, _ = rankmetric._walk_kernel(t, n)
+    multiples = linalg._multiples(t, x, t.order, pack, add)
+    assert len(multiples) == t.order
+    values = (range(t.order) if t.order <= 64 else
+              data.draw(st.lists(st.integers(0, t.order - 1), min_size=1, max_size=16)))
+    for v in values:
+        slices = rankmetric._slices(t, t.scale(v, x))
+        assert item(t, multiples[v]) == slices
+        if t.p == 2:
+            assert multiples[v] == sum(s << i * n for i, s in enumerate(slices))
+
+
+def test_walk_builds_multiples_only_for_free_columns(f16):
+    """A walk builds the multiples of a generator row only when the row is a
+    free column of some template: none for r = k or k = 1, and at most
+    k·q^m in all."""
+    built = []
+    real = linalg._multiples
+
+    def recorded(tower, row, order, *args):
+        built.append(order)
+        return real(tower, row, order, *args)
+
+    big = FieldTower(2, 17)
+    with mock.patch.object(linalg, "_multiples", recorded):
+        for code in [random_full_rank(big, 3, 2, seed=0, label="no-multiples"),
+                     LinearCode(big, 3, [[1, 2, 4]])]:
+            assert rankmetric.min_closure(code, code.k)[1] == code.closure_dim
+        assert built == []
+        code = random_full_rank(f16, 4, 3, seed=0, label="free-columns")
+        rankmetric.min_closure(code, 1)
+        assert built == [16, 16]

@@ -2,13 +2,18 @@
 
 ``python -O`` strips ``assert`` statements, and a bare ``AssertionError``
 ends a CLI run in a traceback instead of exit code 3, so neither may
-appear in ``src/rankcodes``.
+appear in ``src/rankcodes``; the acceptance suite passes under ``-O``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rankcodes"
+from conftest import src_env
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rankcodes"
 
 
 def _stripped_or_bare_checks(path):
@@ -26,3 +31,13 @@ def test_no_assert_or_bare_assertion_error_in_src():
     assert files, f"no sources under {SRC}"
     found = [hit for path in files for hit in _stripped_or_bare_checks(path)]
     assert found == []
+
+
+def test_acceptance_optimized_subprocess():
+    """tests/test_acceptance.py in a ``python -O`` process: no criterion it
+    checks rests on an assert in the package."""
+    res = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_acceptance.py"],
+                         cwd=ROOT, env=src_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert " passed" in res.stdout and " failed" not in res.stdout
