@@ -24,8 +24,7 @@ _EXPORTS = {
               "parse_code_file", "plotkin_variant", "reducible", "transform_reduction",
               "transposed_gabidulin"),
     "grw": ("GrwReport", "dual_grw_upper",
-            "grw_bounds_reducible", "grw_estimates_mrd", "grw_exact_closed_spaces",
-            "grw_exact_subcodes", "grw_report_exact", "grw_table_exact",
+            "grw_bounds_reducible", "grw_estimates_mrd", "grw_report_exact", "grw_table_exact",
             "is_degenerate", "mrd_rank", "mrd_rank_bounds", "singleton_check"),
     "equivalence": ("RankEquivalenceMap", "exact_product_test", "product_characterization",
                     "to_c_opt"),

@@ -74,11 +74,8 @@ class LinearCode:
             raise ValueError("message length differs from k")
         return tuple(linalg.vec_mat(x, self.G, self.n, self.tower))
 
-    def messages(self):
-        return itertools.product(range(self.tower.order), repeat=self.k)
-
     def codewords(self):
-        for x in self.messages():
+        for x in itertools.product(range(self.tower.order), repeat=self.k):
             yield self.codeword(x)
 
     def dual(self) -> "LinearCode":
@@ -496,6 +493,8 @@ def transposed_gabidulin(tower: FieldTower, n: int, k: int) -> TransposedGabidul
     m = tower.m
     if n <= m:
         raise ValueError(f"transposed construction needs n > m, got n={n}, m={m}")
+    if not 1 <= k <= m:
+        raise ValueError(f"source dimension k={k} outside 1..{m}")
     companion = FieldTower(tower.p, n)
     source = gabidulin(companion, m, k)
     return TransposedGabidulin(tower, companion, n, k, source, m - k + 1)

@@ -114,26 +114,25 @@ class ToOptResult:
         return self.map.lines() + [f"certified={'true' if self.certified else 'false'}"]
 
 
-def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET,
-             table: Optional[Sequence[int]] = None) -> ToOptResult:
+def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET) -> ToOptResult:
     """Construct the rank equivalence onto the canonical all-weights-
     maximal code of the same dimension.
 
     Only codes whose exact weight table is (m, 2m, ..., km) qualify; the
-    table is verified (or computed) first and anything else is refused.
-    The map sends the trace vectors Tr(beta_i b_s) of the stored generator
-    rows b_s to the canonical coordinate vectors, block s of width m.
+    table is computed first, under ``budget``, and anything else is
+    refused.  The map sends the trace vectors Tr(beta_i b_s) of the stored
+    generator rows b_s to the canonical coordinate vectors, block s of
+    width m, where beta is the dual of the tower's basis alpha_i = y^(i-1).
     """
     tower = code.tower
     m, k = tower.m, code.k
     if k < 1:
         raise HypothesisError("the construction needs a nonzero code")
-    if table is None:
-        table, _ = grw_table_exact(code, budget)
+    table, _ = grw_table_exact(code, budget)
     expected = [r * m for r in range(1, k + 1)]
-    if list(table) != expected:
+    if table != expected:
         raise HypothesisError(
-            f"weight table {list(table)} is not (m, 2m, ..., km); "
+            f"weight table {table} is not (m, 2m, ..., km); "
             "the construction applies only to all-weights-maximal codes")
 
     beta = dual_alpha_basis(tower)

@@ -4,7 +4,10 @@ A :class:`FieldTower` is the pair F_p < F_{p^m} for a prime p and a monic
 irreducible modulus of degree m.  Elements of F_{p^m} are encoded as plain
 integers: the code ``sum(c_i * p**i)`` stands for the polynomial
 ``c_0 + c_1*y + ... + c_{m-1}*y^(m-1)`` in ``F_p[y] / (modulus)``.  The
-base field sits inside as the codes ``0 .. p-1``.
+base field sits inside as the codes ``0 .. p-1``.  The F_p-basis that
+writes a vector over F_{p^m} as a matrix over F_p is this polynomial
+basis, alpha_i = y^(i-1), so digit i of a code is coordinate i; rank
+weights do not depend on which basis is used.
 
 Arithmetic has one representation.  A tower of at most ``_TABLE_CAP``
 (2^16) elements fixes a primitive element g, writes N = p^m - 1, and keeps
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from . import linalg
 from .errors import InvariantError
 
 # Towers up to this order get log/antilog tables (a few MB at the cap);
@@ -125,7 +127,8 @@ def _digits(code: int, p: int, m: int) -> Poly:
 
 
 class FieldTower:
-    """The extension F_p < F_{p^m} with a fixed F_p-basis alpha_1..alpha_m.
+    """The extension F_p < F_{p^m} with the polynomial F_p-basis
+    alpha_i = y^(i-1), i = 1..m, so ``alphas == (1, p, ..., p^(m-1))``.
 
     Parameters
     ----------
@@ -133,19 +136,14 @@ class FieldTower:
     m : extension degree, at least 1.
     modulus : optional monic irreducible degree-m polynomial over F_p,
         little-endian coefficients.  Defaults to :func:`default_modulus`.
-    basis : optional m x m matrix over F_p whose row i expresses alpha_{i+1}
-        in the polynomial basis 1, y, ..., y^(m-1).  Defaults to the
-        identity, i.e. alpha_i = y^(i-1).
     """
 
-    def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None,
-                 basis: Optional[Sequence[Sequence[int]]] = None):
+    def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree m={m} must be >= 1")
         self.p = p
-        self.q = p
         self.m = m
         self.order = p**m
         if modulus is None:
@@ -156,14 +154,7 @@ class FieldTower:
         if not check_irreducible(p, modulus):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
-
-        if basis is None:
-            basis = linalg.identity(m)
-        basis = tuple(tuple(x % p for x in row) for row in basis)
-        if len(basis) != m or any(len(row) != m for row in basis):
-            raise ValueError("basis matrix must be m x m")
-        self.basis = basis
-        self.alphas = tuple(self.from_coeffs(row) for row in basis)
+        self.alphas = tuple(p**i for i in range(m))
 
         self._exp = self._log = self._zech = None
         if self.order <= _TABLE_CAP:
@@ -179,15 +170,7 @@ class FieldTower:
                 raise InvariantError("trace of a monomial left the base field")
             tr.append(s)
         self._trace_monomials = tuple(tr)
-
-        # F_p is closed under the tower's operations, so rref of [basis | I]
-        # inverts the basis over F_p
-        aug = [list(row) + e for row, e in zip(basis, linalg.identity(m))]
-        reduced, pivots = linalg.rref(aug, 2 * m, self)
-        if pivots != list(range(m)):
-            raise ValueError("basis matrix is singular over F_p")
-        self.basis_inv = tuple(tuple(row[m:]) for row in reduced)
-        self._hash = hash((p, m, self.modulus, self.basis))
+        self._hash = hash((p, m, self.modulus))
 
     # -- scalar codecs -------------------------------------------------
 
@@ -218,9 +201,6 @@ class FieldTower:
 
     def format_scalar(self, x: int) -> str:
         return ",".join(str(d) for d in self.coeffs(x))
-
-    def elements(self):
-        return range(self.order)
 
     def in_subfield(self, x: int) -> bool:
         return 0 <= x < self.p
@@ -385,7 +365,7 @@ class FieldTower:
     def __eq__(self, other):
         return (isinstance(other, FieldTower)
                 and self.p == other.p and self.m == other.m
-                and self.modulus == other.modulus and self.basis == other.basis)
+                and self.modulus == other.modulus)
 
     def __hash__(self):
         return self._hash

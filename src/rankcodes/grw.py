@@ -15,7 +15,8 @@ on the generator matrix over F_{q^m} with coordinate slices as items
 syndromes as items.  The oracles must agree; their enumeration costs
 differ by orders of magnitude depending on the parameters, so the auto
 mode picks whichever is cheaper and the report records which oracle
-produced each value.
+produced each value.  Each oracle computes the whole table d_1 .. d_k,
+through the one exact entry point :func:`grw_table_exact`.
 
 A budget is compared once, before the first candidate, with the price of
 what an entry point may enumerate: one table, or all the tables it needs.
@@ -95,36 +96,18 @@ class GrwReport:
                 prev = d
 
 
-def grw_exact_subcodes(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum closure dimension over r-dimensional subcodes."""
-    if not 1 <= r <= code.k:
-        raise ValueError(f"r={r} outside 1..{code.k}")
-    check_budget(gaussian_binomial(code.k, r, code.tower.order), budget, "subspaces")
-    return rankmetric.min_closure(code, r)[1]
-
-
-def grw_exact_closed_spaces(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Smallest dimension of a Galois closed space meeting the code in
-    dimension >= r."""
-    if not 1 <= r <= code.k:
-        raise ValueError(f"r={r} outside 1..{code.k}")
-    check_budget(_closed_cost(code, r), budget, "subspaces")
-    return _closed_space_table(code, r)[r - 1]
-
-
 def _subcode_cost(code: LinearCode) -> int:
     """Subcodes the subcode oracle reaches at most for a table: [k r]_{q^m}
     summed over r."""
     return sum(gaussian_binomial(code.k, r, code.tower.order) for r in range(1, code.k + 1))
 
 
-def _closed_cost(code: LinearCode, r: Optional[int] = None) -> int:
-    """Subspaces the closed-space scan visits at most for entries 1..r
-    (default k): every subspace of dimension up to the ceiling
-    dim C* − k + r of d_r, which is at most min(n − k + r, dim C*); the
-    walk stays below it."""
-    top = code.closure_dim - code.k + (code.k if r is None else r)
-    return sum(gaussian_binomial(code.n, d, code.tower.p) for d in range(1, top + 1))
+def _closed_cost(code: LinearCode) -> int:
+    """Subspaces the closed-space scan visits at most for a table: every
+    subspace of dimension up to dim C* = the ceiling of d_k; the walk
+    stays below it."""
+    return sum(gaussian_binomial(code.n, d, code.tower.p)
+               for d in range(1, code.closure_dim + 1))
 
 
 def _plan(code: LinearCode, method: str) -> Tuple[str, int]:
@@ -148,7 +131,7 @@ def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
     if method == "subcodes":
         table = [rankmetric.min_closure(code, r)[1] for r in range(1, code.k + 1)]
         return table, "oracle-subcode"
-    return _closed_space_table(code, code.k), "oracle-closed-space"
+    return _closed_space_table(code), "oracle-closed-space"
 
 
 def _exact_tables(codes: Sequence[LinearCode], budget: int) -> List[List[int]]:
@@ -159,8 +142,8 @@ def _exact_tables(codes: Sequence[LinearCode], budget: int) -> List[List[int]]:
     return [grw_table_exact(c, budget)[0] for c in codes]
 
 
-def _closed_space_table(code: LinearCode, r: int) -> List[int]:
-    """Weights d_{R,1} .. d_{R,r} from as few dimension scans as decide them.
+def _closed_space_table(code: LinearCode) -> List[int]:
+    """Weights d_{R,1} .. d_{R,k} from as few dimension scans as decide them.
 
     Let f(d) be the largest dim(C ∩ V) over closed V of dimension d, so
     d_s = min{d : f(d) >= s}.  f never decreases, grows by at most 1 per
@@ -172,7 +155,7 @@ def _closed_space_table(code: LinearCode, r: int) -> List[int]:
     caps f(d + j) <= f(d) + j, which is why entry s + 1 never looks at or
     below d_s.  Each dimension's walk resumes where an earlier question
     left it, so no candidate is visited twice and no dimension at or above
-    the ceiling of d_r is walked (see :func:`_closed_cost`).
+    dim C* is walked (see :func:`_closed_cost`).
 
     Dimension d is walked by :func:`linalg.rank_leaves` on Hᵀ over F_q:
     dim(C ∩ V) = d − rank(V·Hᵀ), so a prefix of syndrome rank ρ caps every
@@ -192,7 +175,7 @@ def _closed_space_table(code: LinearCode, r: int) -> List[int]:
         return False
 
     table: List[int] = []
-    for s in range(1, r + 1):
+    for s in range(1, k + 1):
         u = min(d - v + s for d, v in found.items() if v >= s)
         floor = table[-1] if table else 0
         while u - 1 > floor and s < k and reaches(u - 1, s):

@@ -1,20 +1,21 @@
 """The rank-metric layer.
 
 A vector c in F_{q^m}^n is identified with the m x n matrix over F_q whose
-column j holds the coordinates of c_j in the tower's alpha-basis.  The
-rank weight of c is the rank of that matrix; the weight of a subspace D
-is the dimension of its Galois closure D* = D + D^[1] + ... + D^[m-1],
-the smallest Frobenius-stable space containing D.
+column j holds the coordinates of c_j in the tower's basis alpha_i =
+y^(i-1), that is, row i holds digit i of every entry.  The rank weight of c
+is the rank of that matrix; the weight of a subspace D is the dimension of
+its Galois closure D* = D + D^[1] + ... + D^[m-1], the smallest
+Frobenius-stable space containing D.
 
 Every closure is computed over F_q from coordinate slices, the rows of
-those matrices (in any F_q-basis of F_{q^m}; the span does not depend on
-it).  For a basis c_1..c_r of D, the F_q span of the slices of the c_i is
-the rank support of D: its dimension is dim D*, and it is D* ∩ F_q^n, so
-D* is its F_{q^m}-span.  A basis suffices because the coordinate matrix of
-beta*c is an invertible F_q matrix times that of c.  No Frobenius power is
-taken.  Slices are F_q-linear in the vector.  Over F_2 the m slices of a
-vector are packed into one int, so those of a sum are one XOR, and they
-are reduced by XOR; other slices are rows reduced by
+those matrices (:func:`matrix_rep`; the F_q span of the slices does not
+depend on the basis).  For a basis c_1..c_r of D, the F_q span of the
+slices of the c_i is the rank support of D: its dimension is dim D*, and
+it is D* ∩ F_q^n, so D* is its F_{q^m}-span.  A basis suffices because the
+coordinate matrix of beta*c is an invertible F_q matrix times that of c.
+No Frobenius power is taken.  Slices are F_q-linear in the vector.  Over
+F_2 the m slices of a vector are packed into one int, so those of a sum
+are one XOR, and they are reduced by XOR; other slices are rows reduced by
 :func:`linalg.extend_rows`.  This choice of kernel (:func:`_walk_kernel`)
 is the only place where the characteristic changes the code path.
 
@@ -38,10 +39,10 @@ from . import linalg
 
 
 def matrix_rep(tower, vec: Sequence[int]) -> List[List[int]]:
-    """m x n coordinate matrix of vec in the alpha-basis (entries in F_p)."""
-    m = tower.m
-    cols = [linalg.vec_mat(tower.coeffs(c), tower.basis_inv, m, tower) for c in vec]
-    return [[col[i] for col in cols] for i in range(m)]
+    """m x n coordinate matrix of vec over F_q: row i holds digit i of
+    every entry, its coefficient of alpha_{i+1} = y^i."""
+    p = tower.p
+    return [[c // a % p for c in vec] for a in tower.alphas]
 
 
 def rank_weight(tower, vec: Sequence[int]) -> int:
@@ -60,25 +61,6 @@ def vector_trace(tower, vec: Sequence[int]) -> List[int]:
     return [tr(c) for c in vec]
 
 
-def _slices(tower, vec: Sequence[int]) -> list:
-    """The m coordinate slices of vec over F_q: slice i holds digit i (in
-    the polynomial basis) of every entry.  Their F_q span is the rank
-    support of vec, whatever F_q-basis of F_{q^m} is used.  For p = 2 a
-    slice is packed into one int, bit j for entry j."""
-    p, m = tower.p, tower.m
-    if p != 2:
-        return [[c // p**i % p for c in vec] for i in range(m)]
-    out = [0] * m
-    for j, c in enumerate(vec):
-        bit, i = 1 << j, 0
-        while c:
-            if c & 1:
-                out[i] |= bit
-            c >>= 1
-            i += 1
-    return out
-
-
 def _xor_extend(tower, echelon: list, slices: list) -> list:
     """:func:`linalg.extend_rows` for p = 2, on packed slices: ``echelon``
     is an XOR basis whose leading bits differ, and each slice independent
@@ -95,17 +77,24 @@ def _xor_extend(tower, echelon: list, slices: list) -> list:
 
 def _pack(tower, vec: Sequence[int]) -> int:
     """The slices of vec over F_2 in one int: slice i takes bits i·n to
-    i·n + n − 1, for n = len(vec).  XOR of two packings is the packing of
-    the sum."""
-    n = len(vec)
-    return sum(s << i * n for i, s in enumerate(_slices(tower, vec)))
+    i·n + n − 1, for n = len(vec), so digit i of entry j is bit i·n + j.
+    XOR of two packings is the packing of the sum."""
+    n, out = len(vec), 0
+    for j, c in enumerate(vec):
+        bit = 1 << j
+        while c:
+            if c & 1:
+                out |= bit
+            c >>= 1
+            bit <<= n
+    return out
 
 
 def _walk_kernel(tower, n: int) -> tuple:
     """The :func:`linalg.rank_leaves` kernel for the slices of rows of
     length n: over F_2 an image is one :func:`_pack` int, added by XOR."""
     if tower.p != 2:
-        return linalg.row_kernel(tower, _slices)
+        return linalg.row_kernel(tower, matrix_rep)
     mask, shifts = (1 << n) - 1, range(0, tower.m * n, n)
     return _pack, operator.xor, lambda tower, x: [(x >> s) & mask for s in shifts], _xor_extend
 

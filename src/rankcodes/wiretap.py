@@ -17,6 +17,7 @@ error, never coerced.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,15 +87,15 @@ def _packed_counts(tower, cols: Sequence[Sequence[int]]) -> Counter:
     packed into one int, m bits per entry, so adding two images is one XOR
     and the int is its own dict key.  The images over the first j
     coordinates are those over the first j − 1, each plus one precomputed
-    multiple a·row_j; the last coordinate's images are counted as they are
-    formed, so no list of all atoms is built.
+    multiple a·row_j (:func:`linalg._multiples`); the last coordinate's
+    images are counted as they are formed, so no list of all atoms is built.
     """
-    m, order = tower.m, tower.order
+    m = tower.m
 
-    def pack(row: Sequence[int]) -> int:
+    def pack(tower, row: Sequence[int]) -> int:
         return sum(x << (m * i) for i, x in enumerate(row))
 
-    mults = [[pack(tower.scale(a, col)) for a in range(order)] for col in cols]
+    mults = [linalg._multiples(tower, col, tower.order, pack, operator.xor) for col in cols]
     images = [0]
     for step in mults[:-1]:
         images = [x ^ t for t in step for x in images]

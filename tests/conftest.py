@@ -39,19 +39,19 @@ def random_full_rank(tower, n, k, seed, label="random-code"):
             return LinearCode(tower, n, G)
 
 
-def closed_space_table_reference(code, r):
-    """d_1 .. d_r by the plain ascending scan: every F_q RREF basis of each
+def closed_space_table_reference(code):
+    """d_1 .. d_k by the plain ascending scan: every F_q RREF basis of each
     dimension from 1 up, dim(C ∩ V) = d − rank(V·Hᵀ), leaving a dimension at
-    the first space that meets the code in dimension r."""
-    table = []
+    the first space that meets the code in dimension k."""
+    k, table = code.k, []
     for d in range(1, code.n + 1):
         best = 0
         for basis in linalg.subspace_bases(code.n, d, range(code.tower.p)):
             best = max(best, d - code.syndrome_rank(basis))
-            if best >= r:
+            if best >= k:
                 break
-        table.extend([d] * (min(best, r) - len(table)))
-        if len(table) == r:
+        table.extend([d] * (min(best, k) - len(table)))
+        if len(table) == k:
             return table
     raise AssertionError("the full space always meets the code")
 

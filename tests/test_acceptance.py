@@ -13,13 +13,12 @@ import pytest
 from rankcodes import (FieldTower, LinearCode, build_c_opt, build_mrd_reducible,
                        cartesian, composition_search, dual_grw_upper, gabidulin,
                        grw_bounds_reducible, grw_estimates_mrd,
-                       grw_exact_closed_spaces, grw_exact_subcodes,
                        grw_table_exact, leakage_exact, linalg, mrd_plan,
                        mrd_rank, plotkin_variant, product_characterization,
                        reducible, singleton_check, to_c_opt)
 from rankcodes.codes import random_block_transform, transform_reduction, exact_reduction_for_d1
 from rankcodes.grw import mrd_rank_from_table
-from rankcodes.rankmetric import GaloisClosedSpace
+from rankcodes.rankmetric import GaloisClosedSpace, min_closure
 from rankcodes.wiretap import leakage_joint_enumeration
 
 from conftest import random_full_rank, stronger_security_bound
@@ -95,8 +94,8 @@ def test_criterion_3_oracle_equivalence():
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, min(n, 3) + 1))
         code = random_full_rank(tower, n, k, seed=seed, label="accept-oracle-code")
-        sub = [grw_exact_subcodes(code, r) for r in range(1, k + 1)]
-        clo = [grw_exact_closed_spaces(code, r) for r in range(1, k + 1)]
+        sub, _ = grw_table_exact(code, method="subcodes")
+        clo, _ = grw_table_exact(code, method="closed")
         assert sub == clo, f"oracles disagree on seed {seed}: {sub} vs {clo}"
         count += 1
     assert count == 50
@@ -198,7 +197,7 @@ def test_criterion_5_mrd_family():
     for tower, plan in _family_grid():
         m, n, k = plan.m, plan.n, plan.k
         R = build_mrd_reducible(tower, plan, seed=5000 + 10 * n + k)
-        d1 = grw_exact_subcodes(R.code(), 1) if k else None
+        d1 = min_closure(R.code(), 1)[1] if k else None
         if plan.branch == 1:
             assert d1 == (m * (n - k)) // n + 1 == plan.d1_exact
             if (m * k) % n == 0:
@@ -291,12 +290,12 @@ def test_criterion_11_plotkin():
     c2 = LinearCode(F8, 3, [[0, y, F8.frobenius(y, 1)]])
     c1_scaled = LinearCode(F8, 3, [[1, 0, 0]])
     c1_frob = LinearCode(F8, 3, [[y, 0, 0]])
-    assert grw_exact_subcodes(cartesian([c1_scaled, c2]).code(), 1) == 1
-    assert grw_exact_subcodes(cartesian([c1_frob, c2]).code(), 1) == 1
+    assert min_closure(cartesian([c1_scaled, c2]).code(), 1)[1] == 1
+    assert min_closure(cartesian([c1_frob, c2]).code(), 1)[1] == 1
     example2 = plotkin_variant(c1_scaled, c2, "alpha", alpha=y)
-    assert grw_exact_subcodes(example2.code(), 1) == 2
+    assert min_closure(example2.code(), 1)[1] == 2
     example3 = plotkin_variant(c1_frob, c2, "frobenius", frob_power=1)
-    assert grw_exact_subcodes(example3.code(), 1) == 2
+    assert min_closure(example3.code(), 1)[1] == 2
     # (u, u+v) instances always split as products
     for seed in range(5):
         a = random_full_rank(F8, 3, 1, seed=seed, label="accept-plotkin-a")
@@ -339,7 +338,7 @@ def test_criterion_12_reductions():
         R = reducible(mains, seed=seed)
         rewritten = exact_reduction_for_d1(R)
         assert rewritten.code().equals(R.code())
-        d1 = grw_exact_subcodes(R.code(), 1)
-        attained = min(grw_exact_subcodes(rewritten.row_component(i), 1)
+        d1 = min_closure(R.code(), 1)[1]
+        attained = min(min_closure(rewritten.row_component(i), 1)[1]
                        for i in range(rewritten.l))
         assert attained == d1

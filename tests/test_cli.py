@@ -274,3 +274,7 @@ def test_transposed_gab_listing(capsys):
     rc, _, err = run(capsys, "construct", "transposed-gab", "--p", "2", "--m", "2",
                      "--n", "3", "--k", "2", "--list", "--budget", "10")
     assert rc == 2 and "64" in err
+    rc, out, err = run(capsys, "construct", "transposed-gab", "--p", "2", "--m", "2",
+                       "--n", "3", "--k", "0")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

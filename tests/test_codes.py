@@ -7,10 +7,11 @@ import pytest
 from rankcodes import (BudgetError, CodeFileError, FieldTower, LinearCode,
                        Reduction, build_c_opt, build_mrd_reducible, cartesian,
                        dual_reduction, exact_reduction_for_d1, format_code_file,
-                       gabidulin, grw_exact_subcodes, grw_table_exact, linalg,
+                       gabidulin, grw_table_exact, linalg,
                        mrd_plan, parse_code_file, plotkin_variant,
                        reducible, transform_reduction, transposed_gabidulin)
 from rankcodes.codes import random_block_transform
+from rankcodes.rankmetric import min_closure
 
 from conftest import random_full_rank, src_env
 
@@ -20,7 +21,7 @@ from conftest import random_full_rank, src_env
 def test_gabidulin_full_and_trivial(f4):
     full = gabidulin(f4, 2, 2)
     assert full.k == 2
-    assert grw_exact_subcodes(full, 1) == 1  # Singleton with k=n
+    assert min_closure(full, 1)[1] == 1  # Singleton with k=n
     t1 = FieldTower(2, 1)
     one = gabidulin(t1, 1, 1, points=[1])
     assert one.G == ((1,),)
@@ -194,14 +195,14 @@ def test_build_mrd_reducible_exact_d1(f4):
     for (n, k), expect in [((4, 2), 2), ((3, 1), 2), ((3, 2), 1)]:
         plan = mrd_plan(f4, n, k)
         R = build_mrd_reducible(f4, plan, seed=13)
-        assert grw_exact_subcodes(R.code(), 1) == expect
+        assert min_closure(R.code(), 1)[1] == expect
 
 
 def test_build_full_space_plan(f4):
     plan = mrd_plan(f4, 4, 4)
     R = build_mrd_reducible(f4, plan, seed=1)
     assert R.code().k == 4
-    assert grw_exact_subcodes(R.code(), 1) == 1
+    assert min_closure(R.code(), 1)[1] == 1
 
 
 def test_build_d1_meets_case_bound_for_100_seeds(f4, f8):
@@ -211,7 +212,7 @@ def test_build_d1_meets_case_bound_for_100_seeds(f4, f8):
         plan = mrd_plan(tower, n, k)
         for seed in range(100):
             R = build_mrd_reducible(tower, plan, seed=seed)
-            assert grw_exact_subcodes(R.code(), 1) >= plan.d1_case_bound
+            assert min_closure(R.code(), 1)[1] >= plan.d1_case_bound
 
 
 # -- c_opt ----------------------------------------------------------------
@@ -269,16 +270,16 @@ def plotkin_codes(f8):
 
 def test_plotkin_alpha_example(f8, plotkin_codes):
     y, c1, _, c2 = plotkin_codes
-    assert grw_exact_subcodes(cartesian([c1, c2]).code(), 1) == 1
+    assert min_closure(cartesian([c1, c2]).code(), 1)[1] == 1
     R = plotkin_variant(c1, c2, "alpha", alpha=y)
     assert R.n == 6 and R.k == 2
-    assert grw_exact_subcodes(R.code(), 1) == 2
+    assert min_closure(R.code(), 1)[1] == 2
 
 
 def test_plotkin_frobenius_example(f8, plotkin_codes):
     _, _, c1_alpha, c2 = plotkin_codes
     R = plotkin_variant(c1_alpha, c2, "frobenius", frob_power=1)
-    assert grw_exact_subcodes(R.code(), 1) == 2
+    assert min_closure(R.code(), 1)[1] == 2
 
 
 def test_plotkin_uv_is_cartesian_for_rank(f8, plotkin_codes):
@@ -306,8 +307,8 @@ def test_exact_reduction_for_d1_cartesian_unchanged(f4):
     R = reducible(mains, fill="zero")
     out = exact_reduction_for_d1(R)
     assert out.code().equals(R.code())
-    d1 = grw_exact_subcodes(R.code(), 1)
-    assert min(grw_exact_subcodes(out.row_component(i), 1) for i in range(out.l)) == d1
+    d1 = min_closure(R.code(), 1)[1]
+    assert min(min_closure(out.row_component(i), 1)[1] for i in range(out.l)) == d1
 
 
 def test_exact_reduction_for_d1_random(f8):
@@ -317,8 +318,8 @@ def test_exact_reduction_for_d1_random(f8):
         out = exact_reduction_for_d1(R)
         assert out.code().equals(R.code())
         assert out.lengths == R.lengths and out.dims == R.dims
-        d1 = grw_exact_subcodes(R.code(), 1)
-        assert min(grw_exact_subcodes(out.row_component(i), 1) for i in range(out.l)) == d1
+        d1 = min_closure(R.code(), 1)[1]
+        assert min(min_closure(out.row_component(i), 1)[1] for i in range(out.l)) == d1
 
 
 _FORGED = """
@@ -383,8 +384,8 @@ def test_three_block_reduction_machinery(f8):
         R = reducible(mains, seed=seed)
         out = exact_reduction_for_d1(R)
         assert out.code().equals(R.code())
-        d1 = grw_exact_subcodes(R.code(), 1)
-        assert min(grw_exact_subcodes(out.row_component(i), 1) for i in range(3)) == d1
+        d1 = min_closure(R.code(), 1)[1]
+        assert min(min_closure(out.row_component(i), 1)[1] for i in range(3)) == d1
     R = reducible(mains, seed=9)
     D = dual_reduction(R)
     assert D.code().equals(R.code().dual())

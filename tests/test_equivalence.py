@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
-from rankcodes import (FieldTower, HypothesisError, LinearCode,
+from rankcodes import (HypothesisError, LinearCode,
                        RankEquivalenceMap, Reduction, build_c_opt, cartesian,
                        exact_product_test, format_code_file, gabidulin,
                        grw_table_exact, linalg, plotkin_variant,
                        product_characterization, rank_weight, to_c_opt)
 from rankcodes.equivalence import dual_alpha_basis
+from rankcodes.rankmetric import min_closure
 
 from conftest import random_full_rank, src_env
 
@@ -157,8 +158,7 @@ def test_to_c_opt_weight_preservation_scan(f4):
     scrambled = LinearCode(f4, copt.n, linalg.matmul(copt.G, P, f4))
     res = to_c_opt(scrambled)
     # q^{mk} = 256 <= 10^4: full scan
-    for x in scrambled.messages():
-        c = scrambled.codeword(x)
+    for c in scrambled.codewords():
         assert rank_weight(f4, list(c)) == rank_weight(f4, res.map.apply(list(c)))
 
 
@@ -191,13 +191,6 @@ def test_to_c_opt_refuses_wrong_table(f16):
         to_c_opt(gab)
 
 
-def test_to_c_opt_nonidentity_alpha_basis():
-    tower = FieldTower(2, 2, basis=[[1, 1], [0, 1]])
-    copt = build_c_opt(tower, 2).code()
-    res = to_c_opt(copt)
-    assert res.certified
-
-
 # -- product characterizations ------------------------------------------------------
 
 def test_product_characterization_cartesian(f4):
@@ -227,9 +220,8 @@ def test_product_characterization_plotkin_example(f8):
     res = product_characterization(parts)
     assert res.equivalent
     # the witness product is NOT the product of the inputs: its distance is 2
-    from rankcodes import grw_exact_subcodes
-    assert grw_exact_subcodes(res.product.code(), 1) == 2
-    assert grw_exact_subcodes(cartesian([c1, c2]).code(), 1) == 1
+    assert min_closure(res.product.code(), 1)[1] == 2
+    assert min_closure(cartesian([c1, c2]).code(), 1)[1] == 1
     g = R.generator()
     skew = [LinearCode(f8, 6, [g[0]]),
             LinearCode(f8, 6, [[f8.add(a, b) for a, b in zip(g[0], g[1])]])]

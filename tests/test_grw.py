@@ -7,13 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
                        build_c_opt, cartesian, composition_search, dual_grw_upper, gabidulin, grw_bounds_reducible, grw_estimates_mrd,
-                       grw_exact_closed_spaces, grw_exact_subcodes,
                        grw_report_exact, grw_table_exact, is_degenerate,
                        linalg, mrd_plan, mrd_rank, mrd_rank_bounds,
                        reducible, singleton_check)
 from rankcodes.codes import Reduction
 from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
-from rankcodes.rankmetric import GaloisClosedSpace, closure_dim
+from rankcodes.rankmetric import GaloisClosedSpace, closure_dim, min_closure
 from rankcodes import codes as codes_mod, grw as grw_mod
 
 from conftest import closed_space_table_reference, random_full_rank, src_env
@@ -23,20 +22,18 @@ from conftest import closed_space_table_reference, random_full_rank, src_env
 
 def test_subcode_oracle_examples(f16, f4):
     code = gabidulin(f16, 4, 2)
-    assert grw_exact_subcodes(code, code.k) == closure_dim(f16, code.G, 4)
+    assert grw_table_exact(code, method="subcodes")[0] == [3, closure_dim(f16, code.G, 4)]
     line = LinearCode(f4, 3, [[1, 1, 0]])
-    assert grw_exact_subcodes(line, 1) == 1
-    assert grw_exact_subcodes(code, 1) == 3
+    assert grw_table_exact(line, method="subcodes")[0] == [1]
 
 
 def test_closed_space_oracle_examples(f4):
     line = LinearCode(f4, 2, [[1, 1]])
-    assert grw_exact_closed_spaces(line, 1) == 1
+    assert grw_table_exact(line, method="closed")[0] == [1]
     full = gabidulin(f4, 2, 2)
-    assert grw_exact_closed_spaces(full, 1) == 1
-    assert grw_exact_closed_spaces(full, 2) == 2
+    assert grw_table_exact(full, method="closed")[0] == [1, 2]
     copt = build_c_opt(f4, 2).code()
-    assert [grw_exact_closed_spaces(copt, r) for r in (1, 2)] == [2, 4]
+    assert grw_table_exact(copt, method="closed")[0] == [2, 4]
 
 
 def test_oracles_agree_on_seeded_codes(f4, f9):
@@ -51,7 +48,7 @@ def test_oracles_agree_on_seeded_codes(f4, f9):
 def test_oracle_budget_error(f16):
     code = gabidulin(f16, 4, 3)
     with pytest.raises(BudgetError):
-        grw_exact_subcodes(code, 2, budget=10)
+        grw_table_exact(code, budget=10, method="subcodes")
 
 
 @pytest.fixture
@@ -72,7 +69,7 @@ def enumerated(monkeypatch):
 
 def test_subcode_table_priced_before_enumeration(f16, enumerated):
     code = gabidulin(f16, 4, 3)  # [3 1]_16 = [3 2]_16 = 273, [3 3]_16 = 1
-    assert grw_exact_subcodes(code, 1, budget=300) == 2
+    assert min_closure(code, 1)[1] == 2
     assert 0 < len(enumerated) <= 273
     enumerated.clear()
     with pytest.raises(BudgetError) as err:
@@ -87,13 +84,6 @@ def test_closed_scan_priced_before_enumeration(f16, enumerated):
     with pytest.raises(BudgetError) as err:
         grw_table_exact(code, budget=cost - 1, method="closed")
     assert err.value.count == cost and not enumerated
-    # entry 1 walks only below its ceiling dim C* − k + 1 = 2
-    with pytest.raises(BudgetError) as err:
-        grw_exact_closed_spaces(code, 1, budget=49)
-    assert err.value.count == 15 + 35 and not enumerated
-    assert grw_exact_closed_spaces(code, 1, budget=50) == 2
-    assert 0 < len(enumerated) <= 50
-    enumerated.clear()
     assert grw_table_exact(code, budget=cost, method="closed")[0] == [2, 3, 4]
     assert 0 < len(enumerated) <= cost
     assert set(enumerated) == {1}  # MRD: the miss at n − k = 1 decides the table
@@ -150,9 +140,8 @@ def closed_scan_code(draw):
 @settings(max_examples=40, deadline=None)
 @given(closed_scan_code())
 def test_closed_scan_matches_reference(code):
-    """The envelope and syndrome tree give the ascending scan's table, each
-    entry alone equals the table's, and no walk reaches more leaves than
-    its price."""
+    """The envelope and syndrome tree give the ascending scan's table, and
+    the walk reaches no more leaves than its price."""
     leaves = []
     real = linalg.rank_leaves
 
@@ -162,21 +151,12 @@ def test_closed_scan_matches_reference(code):
             yield rank
 
     with mock.patch.object(linalg, "rank_leaves", counted):
-        table = grw_mod._closed_space_table(code, code.k)
-        assert table == closed_space_table_reference(code, code.k)
+        assert grw_mod._closed_space_table(code) == closed_space_table_reference(code)
         assert len(leaves) <= grw_mod._closed_cost(code)
-        for r in range(1, code.k + 1):
-            leaves.clear()
-            assert grw_exact_closed_spaces(code, r) == table[r - 1]
-            assert len(leaves) <= grw_mod._closed_cost(code, r)
 
 
 def test_oracle_validation(f4):
     code = gabidulin(f4, 2, 1)
-    with pytest.raises(ValueError):
-        grw_exact_subcodes(code, 0)
-    with pytest.raises(ValueError):
-        grw_exact_closed_spaces(code, 2)
     for c in (code, LinearCode(f4, 2, [])):  # k = 1 and k = 0
         with pytest.raises(ValueError, match="unknown oracle method"):
             grw_table_exact(c, method="bogus")
@@ -335,7 +315,7 @@ def test_singleton_check_examples(f4, f16):
     assert singleton_check(4, 4, 2, t[0], t[0]) == (True, 0)
     plan = mrd_plan(f4, 4, 2)
     R = codes_mod.build_mrd_reducible(f4, plan, seed=5)
-    d1 = grw_exact_subcodes(R.code(), 1)
+    d1 = min_closure(R.code(), 1)[1]
     assert singleton_check(2, 4, 2, d1, d1) == (True, 0)  # n divides mk
     # interval logic
     assert singleton_check(2, 4, 2, 1, 2) == (None, None)

@@ -126,6 +126,8 @@ _IMPORT_BOUNDARY = """
 import sys
 import rankcodes
 print(sorted(m for m in sys.modules if m.startswith("rankcodes.")))
+import rankcodes.field
+print(sorted(m for m in sys.modules if m.startswith("rankcodes.")))
 import rankcodes.cli
 print(sorted(m for m in ("rankcodes.grw", "rankcodes.equivalence", "rankcodes.wiretap")
              if m in sys.modules))
@@ -141,7 +143,8 @@ def test_import_boundaries():
     res = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY],
                          env=src_env(), capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "[]", "False"]
+    assert res.stdout.splitlines() == ["[]", "['rankcodes.errors', 'rankcodes.field']", "[]",
+                                       "False"]
 
 
 def test_package_names_resolve_to_defining_modules():
