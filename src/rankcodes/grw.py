@@ -11,8 +11,8 @@ that decide the table, from the ceiling of each weight downward, each one
 as a tree of syndromes; for an MRD code the one dimension n − k decides
 every weight.  Both trees are the one walk of :func:`linalg.rank_leaves`:
 on the generator matrix over F_{q^m} with coordinate slices as items
-(over F_2, packed into one int and formed by XOR), or on Hᵀ over F_q with
-syndromes as items.  The oracles must agree; their enumeration costs
+(packed into one int of F_p digits and reduced on it), or on Hᵀ over F_q
+with syndromes as items.  The oracles must agree; their enumeration costs
 differ by orders of magnitude depending on the parameters, so the auto
 mode picks whichever is cheaper and the report records which oracle
 produced each value.  Each oracle computes the whole table d_1 .. d_k,

@@ -15,7 +15,9 @@ is known beforehand (:func:`gaussian_binomial`).
 Both GRW oracles meet the subspaces in the same order as a tree instead
 (:func:`rank_leaves`): a prefix of basis rows fixes the rank of their images
 under one matrix, which every extension shares and can only grow.
-:func:`extend_rows` is the one echelon insertion kernel over the tower.
+:func:`extend_rows` is the echelon insertion kernel over the tower, which
+the closed walk uses; the subcode walk reduces packed digits instead
+(:func:`rankmetric._walk_kernel`).
 
 Membership in a code and dim(C ∩ V) are not computed here by stacking
 rows: :class:`~rankcodes.codes.LinearCode` answers both from its cached
@@ -276,7 +278,8 @@ def subspace_bases(n: int, d: int, elements: Sequence[int]) -> Iterator[Rows]:
             yield basis
 
 
-def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]]) -> list:
+def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]],
+                cap: Optional[int] = None) -> list:
     """``echelon`` plus those of ``rows`` that are independent of it.
 
     The echelon is a list of (pivot, row, factor) triples: each row is
@@ -285,7 +288,9 @@ def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]]) -> list:
     new row is reduced against every triple before it and appended when
     nonzero.  No row is scaled to a leading 1, which would cost a new row
     per insertion.  Neither argument is changed; the result is a new list
-    unless nothing is added.
+    unless nothing is added.  ``cap`` is the :func:`rank_leaves` cap,
+    which this kernel ignores: the closed walk inserts one syndrome per
+    item, so stopping at the cap would save no row.
     """
     out = echelon
     for s in rows:
@@ -320,10 +325,18 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
     ``pack(tower, v·M[j])`` (:func:`_multiples`, built on first use), and
     each is kept as ``item(tower, image)``.  The walk is depth first over
     the rows: each level inserts one item into its prefix's echelon with
-    ``extend(tower, echelon, item)``, and a prefix whose echelon already
-    reaches the least rank found has no lower leaf below it, because the
-    echelon only grows.  At each new least rank ``least`` is set to
-    [basis of V, rank].
+    ``extend(tower, echelon, item, cap)``, and a prefix whose echelon
+    already reaches the least rank found has no lower leaf below it,
+    because the echelon only grows.  At each new least rank ``least`` is
+    set to [basis of V, rank].
+
+    The cap is that least rank: ``extend`` must return the whole echelon
+    while its length stays below the cap, and may stop inserting once the
+    length reaches it.  A prefix or leaf at or above the least rank is
+    discarded either way, so the cap changes no leaf that is reached.  A
+    leaf therefore yields its exact rank when that rank is below the least
+    rank found before it, and otherwise some value at or above that least
+    rank.
     """
     n, best, multiples = len(M), sys.maxsize, {}
     pack, add, item, extend = kernel
@@ -332,7 +345,7 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
         nonlocal best
         if len(rows) == 1:
             for idx, x in enumerate(rows[0]):
-                rank = len(extend(tower, echelon, x))
+                rank = len(extend(tower, echelon, x, best))
                 if rank < best:
                     best = rank
                     least[:] = [_template_basis(n, order, pivots, path + (idx,)), rank]
@@ -340,7 +353,7 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
             return
         rest = rows[1:]
         for idx, x in enumerate(rows[0]):
-            ext = extend(tower, echelon, x)
+            ext = extend(tower, echelon, x, best)
             if len(ext) < best:
                 yield from below(rest, ext, path + (idx,))
 

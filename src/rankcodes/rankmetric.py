@@ -13,11 +13,14 @@ depend on the basis).  For a basis c_1..c_r of D, the F_q span of the
 slices of the c_i is the rank support of D: its dimension is dim D*, and
 it is D* ∩ F_q^n, so D* is its F_{q^m}-span.  A basis suffices because the
 coordinate matrix of beta*c is an invertible F_q matrix times that of c.
-No Frobenius power is taken.  Slices are F_q-linear in the vector.  Over
-F_2 the m slices of a vector are packed into one int, so those of a sum
-are one XOR, and they are reduced by XOR; other slices are rows reduced by
-:func:`linalg.extend_rows`.  This choice of kernel (:func:`_walk_kernel`)
-is the only place where the characteristic changes the code path.
+No Frobenius power is taken.  Slices are F_q-linear in the vector.  The
+m slices of a vector are packed into one int of F_p digits (:func:`_pack`),
+so those of a sum are one packed addition: XOR over F_2, and for odd p an
+integer sum that subtracts p from every digit that reached it.  Slices are
+reduced on the packed digits too: by XOR over F_2, and for odd p by adding
+a precomputed multiple of each echelon row.  This choice of kernel
+(:func:`_walk_kernel`) is the only place where the characteristic changes
+the code path.
 
 The subcode oracle :func:`min_closure` is the rank-tree walk of
 :func:`linalg.rank_leaves` on the generator matrix, with the slices of each
@@ -61,51 +64,127 @@ def vector_trace(tower, vec: Sequence[int]) -> List[int]:
     return [tr(c) for c in vec]
 
 
-def _xor_extend(tower, echelon: list, slices: list) -> list:
-    """:func:`linalg.extend_rows` for p = 2, on packed slices: ``echelon``
-    is an XOR basis whose leading bits differ, and each slice independent
-    of it is appended reduced against every row before it."""
-    out = list(echelon)
+def _xor_extend(tower, echelon: list, slices: list, cap: int) -> list:
+    """The p = 2 echelon kernel on packed slices: ``echelon`` is an XOR
+    basis whose leading bits differ, and each slice independent of it is
+    appended reduced against every row before it.  It returns once the
+    basis reaches ``cap`` rows, and copies ``echelon`` only to append."""
+    out = echelon
     for s in slices:
         for b in out:
             if s ^ b < s:
                 s ^= b
         if s:
-            out.append(s)
+            out = out + [s]
+            if len(out) >= cap:
+                break
     return out
 
 
-def _pack(tower, vec: Sequence[int]) -> int:
-    """The slices of vec over F_2 in one int: slice i takes bits i·n to
-    i·n + n − 1, for n = len(vec), so digit i of entry j is bit i·n + j.
-    XOR of two packings is the packing of the sum."""
-    n, out = len(vec), 0
+def _pack(p: int, n: int, w: int, vec: Sequence[int]) -> int:
+    """The slices of vec in one int of w-bit fields: digit i of entry j
+    fills the field at bit (i·n + j)·w, so slice i takes fields i·n to
+    i·n + n − 1.  Over F_2 (w = 1) XOR of two packings is the packing of
+    the sum."""
+    stride, out = n * w, 0
     for j, c in enumerate(vec):
-        bit = 1 << j
+        shift = j * w
         while c:
-            if c & 1:
-                out |= bit
-            c >>= 1
-            bit <<= n
+            c, d = divmod(c, p)
+            out |= d << shift
+            shift += stride
     return out
+
+
+def _digit_constants(p: int, w: int, fields: int) -> tuple:
+    """(bias, high) over ``fields`` w-bit fields: bias holds 2^(w−1) − p
+    in every field and high every field's top bit.  Adding bias to a
+    field holding a digit sum s <= 2p − 2 carries no bit out of the field
+    and sets its top bit exactly when s >= p."""
+    ones = sum(1 << k * w for k in range(fields))
+    return ((1 << w - 1) - p) * ones, ones << w - 1
+
+
+def _digit_add(p: int, w: int, fields: int):
+    """Addition mod p of packed digits: one integer sum, then p is
+    subtracted from every field that reached p, found by one added
+    constant and the mask of high bits (:func:`_digit_constants`)."""
+    bias, high = _digit_constants(p, w, fields)
+    top = w - 1
+
+    def add(a: int, b: int) -> int:
+        s = a + b
+        return s - (((s + bias) & high) >> top) * p
+    return add
+
+
+def _digit_extend(p: int, w: int, n: int):
+    """The odd-p echelon kernel on packed slices of n digits.  A row is
+    kept as (pivot shift, cancel): its pivot is its lowest nonzero field,
+    and cancel[d] is the packed multiple of the row that is −d at the
+    pivot, so a slice with digit d there is reduced by one addition.  Each
+    row is 0 at the pivots before it, and each new slice is reduced
+    against every row in order.  ``echelon`` is copied only to append.
+    A slice that would bring the echelon to ``cap`` rows ends the call:
+    it is appended as None, without its multiples, since a result at the
+    cap is only counted and nothing is reduced against it."""
+    bias, high = _digit_constants(p, w, n)
+    top, dmask, add = w - 1, (1 << w) - 1, _digit_add(p, w, n)
+    # for pivot digit e, cancel[d] = order[e][d]·row: c·e + d ≡ 0 (mod p)
+    order = [None] + [[(p - d) * pow(e, -1, p) % p for d in range(p)] for e in range(1, p)]
+
+    def extend(tower, echelon: list, slices: list, cap: int) -> list:
+        out = echelon
+        for s in slices:
+            for shift, cancel in out:
+                d = (s >> shift) & dmask
+                if d:
+                    s += cancel[d]
+                    s -= (((s + bias) & high) >> top) * p
+            if s:
+                if len(out) + 1 >= cap:
+                    return out + [None]
+                shift = ((s & -s).bit_length() - 1) // w * w
+                multiples = [0, s]
+                for _ in range(p - 2):
+                    multiples.append(add(multiples[-1], s))
+                out = out + [(shift, [multiples[c] for c in order[(s >> shift) & dmask]])]
+        return out
+    return extend
 
 
 def _walk_kernel(tower, n: int) -> tuple:
     """The :func:`linalg.rank_leaves` kernel for the slices of rows of
-    length n: over F_2 an image is one :func:`_pack` int, added by XOR."""
-    if tower.p != 2:
-        return linalg.row_kernel(tower, matrix_rep)
-    mask, shifts = (1 << n) - 1, range(0, tower.m * n, n)
-    return _pack, operator.xor, lambda tower, x: [(x >> s) & mask for s in shifts], _xor_extend
+    length n.  An image is one :func:`_pack` int of all m slices, split
+    into its m slices (one int each) as its items.  Over F_2 the fields
+    are single bits, added by XOR and reduced by :func:`_xor_extend`; for
+    odd p they are w = bit_length(2p − 2) + 1 bits wide, so a sum of two
+    digits and the bias of :func:`_digit_constants` fit, added by
+    :func:`_digit_add` and reduced by :func:`_digit_extend`."""
+    p, m = tower.p, tower.m
+    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    width = n * w
+    mask, shifts = (1 << width) - 1, range(0, m * width, width)
+
+    def pack(tower, vec: Sequence[int]) -> int:
+        return _pack(p, n, w, vec)
+
+    def item(tower, x: int) -> list:
+        return [(x >> s) & mask for s in shifts]
+
+    if p == 2:
+        return pack, operator.xor, item, _xor_extend
+    return pack, _digit_add(p, w, m * n), item, _digit_extend(p, w, n)
 
 
 def closure_dim(tower, rows: Sequence[Sequence[int]], ncols: int) -> int:
     """dim(D*) for D the row space: the F_q rank of the coordinate slices
-    of the rows, which is the rank weight of D."""
+    of the rows, which is the rank weight of D.  The cap ncols + 1 is above
+    every rank of slices of length ncols, so each insertion is exact."""
     pack, _, item, extend = _walk_kernel(tower, ncols)
     echelon = []
     for row in rows:
-        echelon = extend(tower, echelon, item(tower, pack(tower, row)))
+        echelon = extend(tower, echelon, item(tower, pack(tower, row)), ncols + 1)
     return len(echelon)
 
 
@@ -118,8 +197,9 @@ def min_closure(code, r: int) -> Tuple[List[List[int]], int]:
     generator matrix, at most [k r]_{q^m} of them: each level inserts the
     m coordinate slices of one codeword into its prefix's F_q echelon, so a
     prefix whose support already has the least dimension found is skipped.
-    The walk stops at the first weight r, the least possible.  Over F_2 a
-    codeword's slices are one int, one XOR per free message coordinate.
+    The walk stops at the first weight r, the least possible.  A
+    codeword's slices are one packed int, one packed addition per free
+    message coordinate.
     """
     tower, least = code.tower, []
     kernel = _walk_kernel(tower, code.n)

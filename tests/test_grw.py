@@ -111,7 +111,8 @@ def test_walks_reach_pinned_leaf_counts(enumerated):
         grw_table_exact(gabidulin(FieldTower(p, m), n, k), method="closed")
         assert len(enumerated) == leaves, (p, m, n, k)
     for (p, m, n, k), leaves in [((2, 3, 7, 4), 686), ((3, 3, 6, 3), 1515),
-                                 ((2, 6, 8, 3), 6223), ((2, 4, 8, 3), 547)]:
+                                 ((2, 6, 8, 3), 6223), ((2, 4, 8, 3), 547),
+                                 ((3, 2, 6, 3), 183), ((5, 2, 4, 2), 27), ((3, 3, 7, 3), 1515)]:
         t = FieldTower(p, m)
         enumerated.clear()
         grw_table_exact(codes_mod.build_mrd_reducible(t, mrd_plan(t, n, k), seed=1).code(),

@@ -157,7 +157,8 @@ def test_closure_kernel_matches_frobenius_stack(case):
 # (tower, largest k, largest n): every k and r whose plain scan stays
 # small; over F_32 and F_64 a packed image of n = 7 holds 35 and 42 bits
 _WALK_TOWERS = [(FieldTower(2, 2), 4, 6), (FieldTower(2, 3), 3, 6), (FieldTower(3, 2), 3, 6),
-                (FieldTower(2, 4), 3, 6), (FieldTower(2, 5), 2, 7), (FieldTower(2, 6), 2, 7)]
+                (FieldTower(2, 4), 3, 6), (FieldTower(2, 5), 2, 7), (FieldTower(2, 6), 2, 7),
+                (FieldTower(5, 2), 2, 5), (FieldTower(3, 3), 2, 5)]
 
 
 @st.composite
@@ -202,8 +203,10 @@ _MULTIPLE_TOWERS = [FieldTower(2, m) for m in range(2, 7)] + [FieldTower(3, 2), 
 @given(st.data())
 def test_walk_multiples_match_slices(data):
     """Every precomputed multiple v·x of the subcode walk splits into the
-    rows of matrix_rep(tower.scale(v, x)); over F_2 it is the int whose bit
-    i·n + j holds digit i of entry j."""
+    rows of matrix_rep(tower.scale(v, x)): it is the int whose w-bit field
+    (i·n + j)·w holds digit i of entry j, w = 1 over F_2 and
+    bit_length(2p − 2) + 1 for odd p, and each of its packed slices
+    decodes to one row."""
     t = data.draw(st.sampled_from(_MULTIPLE_TOWERS))
     n = data.draw(st.integers(1, 7))
     x = data.draw(st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n))
@@ -212,13 +215,52 @@ def test_walk_multiples_match_slices(data):
     assert len(multiples) == t.order
     values = (range(t.order) if t.order <= 64 else
               data.draw(st.lists(st.integers(0, t.order - 1), min_size=1, max_size=16)))
+    w = 1 if t.p == 2 else (2 * t.p - 2).bit_length() + 1
     for v in values:
         rows = matrix_rep(t, t.scale(v, x))
-        if t.p == 2:
-            assert multiples[v] == sum(b << i * n + j for i, row in enumerate(rows)
-                                       for j, b in enumerate(row))
-            rows = [sum(b << j for j, b in enumerate(row)) for row in rows]
-        assert item(t, multiples[v]) == rows
+        assert multiples[v] == sum(b << (i * n + j) * w for i, row in enumerate(rows)
+                                   for j, b in enumerate(row))
+        slices = item(t, multiples[v])
+        assert [[s >> j * w & (1 << w) - 1 for j in range(n)] for s in slices] == rows
+
+
+_DIGIT_TOWERS = [FieldTower(3, 2), FieldTower(5, 2), FieldTower(3, 3), FieldTower(7, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_digit_kernel_matches_rank(data):
+    """The odd-p walk kernel against plain arithmetic: its add is digit-wise
+    addition mod p, its extend on packed slices gives linalg.rank of the
+    digit rows while that rank is below the cap (and at least the cap
+    otherwise), and the packed closure_dim is the rank of the stacked
+    matrix_rep slices."""
+    t = data.draw(st.sampled_from(_DIGIT_TOWERS))
+    p, n = t.p, data.draw(st.integers(1, 7))
+    w = (2 * p - 2).bit_length() + 1
+    pack, add, item, extend = rankmetric._walk_kernel(t, n)
+    vec = st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n)
+    a, b = data.draw(vec), data.draw(vec)
+    digits = [[s >> j * w & (1 << w) - 1 for j in range(n)] for s in item(t, add(pack(t, a), pack(t, b)))]
+    assert digits == [[(x + y) % p for x, y in zip(ra, rb)]
+                      for ra, rb in zip(matrix_rep(t, a), matrix_rep(t, b))]
+
+    # slice rows: F_p combinations of a few base rows, so that many depend
+    digit_row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    base = data.draw(st.lists(digit_row, min_size=1, max_size=4))
+    rows = [[sum(c * r[j] for c, r in zip(coeffs, base)) % p for j in range(n)]
+            for coeffs in data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=len(base),
+                                                      max_size=len(base)), max_size=8))]
+    split = data.draw(st.integers(0, len(rows)))
+    cap = data.draw(st.integers(1, n + 1))
+    packed = [sum(d << j * w for j, d in enumerate(row)) for row in rows]
+    length = len(extend(t, extend(t, [], packed[:split], n + 1), packed[split:], cap))
+    rank = linalg.rank(rows, n, t)
+    assert length == rank if rank < cap else length >= cap
+
+    vectors = data.draw(st.lists(vec, max_size=4))
+    stacked = [s for row in vectors for s in matrix_rep(t, row)]
+    assert rankmetric.closure_dim(t, vectors, n) == linalg.rank(stacked, n, t)
 
 
 def test_walk_builds_multiples_only_for_free_columns(f16):
