@@ -244,12 +244,11 @@ def _cmd_construct(args) -> int:
     elif what == "transposed-gab":
         tower = _tower(args)
         tg = codes.transposed_gabidulin(tower, args.n, args.k)
+        listing = tg.matrices(args.budget) if args.list else []
         print(f"transposed-gab q={tower.p} n={args.n} m={tower.m} k={args.k} "
               f"size={tg.size} min_rank_distance={tg.min_rank_distance}")
-        if args.list:
-            for M in tg.matrices(args.budget):
-                print("matrix " + " ".join(
-                    ",".join(str(x) for x in row) for row in M))
+        for M in listing:
+            print("matrix " + " ".join(",".join(str(x) for x in row) for row in M))
     return 0
 
 
@@ -277,7 +276,7 @@ def _cmd_grw(args) -> int:
 def _cmd_check(args) -> int:
     from . import grw
 
-    obj = _load_code(args)
+    obj = _load_reduction(args) if args.what == "product" else _load_code(args)
     code = _plain(obj)
     if args.what == "mrd":
         report = grw.grw_report_exact(code, args.budget)
@@ -285,8 +284,6 @@ def _cmd_check(args) -> int:
     elif args.what == "degenerate":
         print(f"degenerate={'true' if grw.is_degenerate(code) else 'false'}")
     elif args.what == "product":
-        if not isinstance(obj, codes.Reduction):
-            raise _CliError("check product needs a reduction (blocks line)")
         from . import equivalence
 
         print(f"product={'true' if equivalence.exact_product_test(obj) else 'false'}")
@@ -304,13 +301,11 @@ def _cmd_dual(args) -> int:
 def _cmd_equiv(args) -> int:
     from . import equivalence
 
-    obj = _load_code(args)
+    obj = _load_reduction(args) if args.what == "product-test" else _load_code(args)
     if args.what == "to-opt":
         result = equivalence.to_c_opt(_plain(obj), args.budget)
         _print(result.lines())
     elif args.what == "product-test":
-        if not isinstance(obj, codes.Reduction):
-            raise _CliError("equiv product-test needs a reduction (blocks line)")
         parts = [obj.row_component(i) for i in range(obj.l) if obj.dims[i]]
         result = equivalence.product_characterization(parts)
         print(f"equivalent_to_product={'true' if result.equivalent else 'false'} "
@@ -324,7 +319,7 @@ def _cmd_wiretap(args) -> int:
     from . import grw, wiretap
     from .rankmetric import GaloisClosedSpace
 
-    obj = _load_code(args)
+    obj = _load_reduction(args) if args.what == "certify" else _load_code(args)
     code = _plain(obj)
     B = wiretap.parse_wiretap_file(code.tower, _read(args.wiretap), code.n)
     if args.what == "leak":
@@ -338,8 +333,6 @@ def _cmd_wiretap(args) -> int:
         value = wiretap.leakage_joint_enumeration(code, B, args.budget)
         print(f"mu={len(B)} empirical={value} exact={value} agree=true")
     elif args.what == "certify":
-        if not isinstance(obj, codes.Reduction):
-            raise _CliError("wiretap certify needs a reduction (blocks line)")
         V = GaloisClosedSpace.from_fq_rows(code.tower, B, code.n)
         search = wiretap.composition_search(obj, V, budget=args.budget)
         exact = wiretap.leakage_exact(code, B).leakage

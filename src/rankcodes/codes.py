@@ -87,15 +87,11 @@ class LinearCode:
     def contains_vector(self, vec: Sequence[int]) -> bool:
         return not any(self._syndrome(vec))
 
-    def syndrome_rank(self, rows: Sequence[Sequence[int]]) -> int:
-        """rank(V·Hᵀ) = dim V − dim(C ∩ V) for V the row space of ``rows``;
-        a caller that knows rank V (a reduced basis) needs nothing else."""
-        syndromes = [self._syndrome(row) for row in rows]
-        return linalg.rank(syndromes, self.n - self.k, self.tower)
-
     def intersection_dim(self, rows: Sequence[Sequence[int]]) -> int:
-        """dim(C ∩ V) for V the row space of ``rows``."""
-        return linalg.rank(rows, self.n, self.tower) - self.syndrome_rank(rows)
+        """dim(C ∩ V) = dim V − rank(V·Hᵀ) for V the row space of ``rows``."""
+        syndromes = [self._syndrome(row) for row in rows]
+        return (linalg.rank(rows, self.n, self.tower)
+                - linalg.rank(syndromes, self.n - self.k, self.tower))
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.tower.order})"
@@ -721,8 +717,6 @@ def parse_code_file(text: str):
     modulus = _parse_int_list(lineno, _split_kv(lineno, tokens[3], "modulus"), "modulus coefficient")
     if len(modulus) != m + 1:
         raise CodeFileError(lineno, f"modulus needs {m + 1} coefficients")
-    if any(not 0 <= c < p for c in modulus):
-        raise CodeFileError(lineno, "modulus coefficients must be reduced mod p")
     try:
         tower = FieldTower(p, m, modulus)
     except ValueError as exc:

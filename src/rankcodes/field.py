@@ -150,7 +150,9 @@ class FieldTower:
             modulus = default_modulus(p, m)
         if len(modulus) != m + 1:
             raise ValueError(f"modulus must have degree {m}")
-        modulus = tuple(x % p for x in modulus[:-1]) + (modulus[-1],)
+        modulus = tuple(modulus)
+        if any(not 0 <= x < p for x in modulus):
+            raise ValueError("modulus coefficients must be reduced mod p")
         if not check_irreducible(p, modulus):
             raise ValueError("modulus is reducible")
         self.modulus = modulus

@@ -19,8 +19,9 @@ so those of a sum are one packed addition: XOR over F_2, and for odd p an
 integer sum that subtracts p from every digit that reached it.  Slices are
 reduced on the packed digits too: by XOR over F_2, and for odd p by adding
 a precomputed multiple of each echelon row.  This choice of kernel
-(:func:`_walk_kernel`) is the only place where the characteristic changes
-the code path.
+(:func:`_digit_ops`, :func:`_walk_kernel`) is the only place outside the
+field where the characteristic changes the code path; the joint leakage
+enumeration packs and adds its images with the same digits.
 
 The subcode oracle :func:`min_closure` is the rank-tree walk of
 :func:`linalg.rank_leaves` on the generator matrix, with the slices of each
@@ -153,16 +154,25 @@ def _digit_extend(p: int, w: int, n: int):
     return extend
 
 
+def _digit_ops(p: int, fields: int) -> tuple:
+    """(w, add) for ``fields`` packed F_p digits of w bits each.  Over F_2
+    the fields are single bits added by XOR; for odd p they are
+    w = bit_length(2p − 2) + 1 bits wide, so a sum of two digits and the
+    bias of :func:`_digit_constants` fit, added by :func:`_digit_add`."""
+    if p == 2:
+        return 1, operator.xor
+    w = (2 * p - 2).bit_length() + 1
+    return w, _digit_add(p, w, fields)
+
+
 def _walk_kernel(tower, n: int) -> tuple:
     """The :func:`linalg.rank_leaves` kernel for the slices of rows of
     length n.  An image is one :func:`_pack` int of all m slices, split
-    into its m slices (one int each) as its items.  Over F_2 the fields
-    are single bits, added by XOR and reduced by :func:`_xor_extend`; for
-    odd p they are w = bit_length(2p − 2) + 1 bits wide, so a sum of two
-    digits and the bias of :func:`_digit_constants` fit, added by
-    :func:`_digit_add` and reduced by :func:`_digit_extend`."""
+    into its m slices (one int each) as its items, added as
+    :func:`_digit_ops` says and reduced by :func:`_xor_extend` over F_2 and
+    :func:`_digit_extend` for odd p."""
     p, m = tower.p, tower.m
-    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    w, add = _digit_ops(p, m * n)
     width = n * w
     mask, shifts = (1 << width) - 1, range(0, m * width, width)
 
@@ -172,9 +182,7 @@ def _walk_kernel(tower, n: int) -> tuple:
     def item(tower, x: int) -> list:
         return [(x >> s) & mask for s in shifts]
 
-    if p == 2:
-        return pack, operator.xor, item, _xor_extend
-    return pack, _digit_add(p, w, m * n), item, _digit_extend(p, w, n)
+    return pack, add, item, _xor_extend if p == 2 else _digit_extend(p, w, n)
 
 
 def closure_dim(tower, rows: Sequence[Sequence[int]], ncols: int) -> int:

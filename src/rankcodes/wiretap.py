@@ -8,8 +8,9 @@ exactly the dimension of the code's intersection with the row space of B.
 :func:`leakage_joint_enumeration` reproduces that number without the
 formula: it counts the joint distribution of (message, observation) over
 every atom c, the images c·[G^T | B^T] formed one from another by one
-addition each (an XOR of packed ints for p = 2), and compares the mutual
-information with :func:`leakage_exact`.
+addition each of packed F_p digits, with the subcode walk's packing and
+addition for every p, and compares the mutual information with
+:func:`leakage_exact`.
 
 Wiretap matrices live over the base field; entries outside F_q are a hard
 error, never coerced.
@@ -17,17 +18,17 @@ error, never coerced.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .codes import LinearCode, Reduction, _content_lines, _parse_row
 from .errors import DEFAULT_BUDGET, JOINT_BUDGET, CodeFileError, InvariantError, check_budget
 from .grw import _exact_tables
-from .rankmetric import GaloisClosedSpace
+from .rankmetric import GaloisClosedSpace, _digit_ops, _pack
 
 
 @dataclass
@@ -80,36 +81,34 @@ def _int_log(value: int, q: int) -> int:
     return e
 
 
-def _packed_counts(tower, cols: Sequence[Sequence[int]]) -> Counter:
-    """How often each image c·[Gᵀ | Bᵀ] occurs over all c, for p = 2.
+def _image_counts(tower, cols: Sequence[Sequence[int]], k: int) -> Tuple[Counter, int]:
+    """How often each image c·[Gᵀ | Bᵀ] occurs over all c, and the shift
+    that splits an image into its message (low bits) and observation.
 
     ``cols`` holds the rows of [Gᵀ | Bᵀ], one per coordinate.  An image is
-    packed into one int, m bits per entry, so adding two images is one XOR
-    and the int is its own dict key.  The images over the first j
-    coordinates are those over the first j − 1, each plus one precomputed
-    multiple a·row_j (:func:`linalg._multiples`); the last coordinate's
-    images are counted as they are formed, so no list of all atoms is built.
+    one int of packed F_p digits, added by :func:`rankmetric._digit_ops`:
+    the k message entries are one :func:`rankmetric._pack` block, the
+    observation entries a second block above it, and the int is its own
+    dict key.  The images over the first j coordinates are those over the
+    first j − 1, each plus one precomputed multiple a·row_j
+    (:func:`linalg._multiples`); the last coordinate's images are counted
+    as they are formed, so no list of all atoms is built.
     """
-    m = tower.m
+    p, mu = tower.p, len(cols[0]) - k
+    w, add = _digit_ops(p, tower.m * (k + mu))
+    shift = tower.m * k * w
 
     def pack(tower, row: Sequence[int]) -> int:
-        return sum(x << (m * i) for i, x in enumerate(row))
+        return _pack(p, k, w, row[:k]) | _pack(p, mu, w, row[k:]) << shift
 
-    mults = [linalg._multiples(tower, col, tower.order, pack, operator.xor) for col in cols]
+    def grow(images: list, col: Sequence[int]):
+        steps = linalg._multiples(tower, col, tower.order, pack, add)
+        return chain.from_iterable(map(add, images, repeat(t)) for t in steps)
+
     images = [0]
-    for step in mults[:-1]:
-        images = [x ^ t for t in step for x in images]
-    return Counter(x ^ t for t in mults[-1] for x in images)
-
-
-def _tuple_counts(tower, cols: Sequence[Sequence[int]]) -> Counter:
-    """:func:`_packed_counts` for odd p: images are tuples, each one
-    ``tower.axpy`` away from its parent."""
-    axpy, scalars = tower.axpy, range(tower.order)
-    images = [(0,) * len(cols[0])]
     for col in cols[:-1]:
-        images = [tuple(axpy(x, a, col)) for a in scalars for x in images]
-    return Counter(tuple(axpy(x, a, cols[-1])) for a in scalars for x in images)
+        images = list(grow(images, col))
+    return Counter(grow(images, cols[-1])), shift
 
 
 def _marginal(joint: Counter, part) -> Counter:
@@ -128,9 +127,9 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     uniform word of its coset, so the joint distribution of (s, w), w =
     c·Bᵀ, is the count of each image c·[Gᵀ | Bᵀ] over all q^{mn} atoms c.
     Every atom is counted once: its image is an image already formed plus
-    one precomputed multiple of a row of [Gᵀ | Bᵀ], by one XOR on packed
-    ints for p = 2 and one ``tower.axpy`` on tuples otherwise.  The
-    marginals are sums over the joint table.
+    one precomputed multiple of a row of [Gᵀ | Bᵀ], one addition of packed
+    digits (:func:`_image_counts`).  The marginals are sums over the joint
+    table, of the low and the high bits of each image.
 
     Every count is a power of q (checked), so
     I = H(S) + H(W) − H(S, W) is one integer numerator over atoms·m, in
@@ -145,15 +144,10 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     atoms = tower.order**n
     check_budget(atoms, budget, "atoms")
     cols = linalg.transpose(list(code.G) + list(B_rows), n)
-    if tower.p == 2:
-        joint = _packed_counts(tower, cols)
-        mask, shift = (1 << m * k) - 1, m * k
-        s_count = _marginal(joint, lambda key: key & mask)
-        w_count = _marginal(joint, lambda key: key >> shift)
-    else:
-        joint = _tuple_counts(tower, cols)
-        s_count = _marginal(joint, lambda key: key[:k])
-        w_count = _marginal(joint, lambda key: key[k:])
+    joint, shift = _image_counts(tower, cols, k)
+    mask = (1 << shift) - 1
+    s_count = _marginal(joint, lambda key: key & mask)
+    w_count = _marginal(joint, lambda key: key >> shift)
     counts = {atoms}.union(joint.values(), s_count.values(), w_count.values())
     logs = {c: _int_log(c, tower.p) for c in counts}
 

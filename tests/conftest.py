@@ -47,7 +47,7 @@ def closed_space_table_reference(code):
     for d in range(1, code.n + 1):
         best = 0
         for basis in linalg.subspace_bases(code.n, d, range(code.tower.p)):
-            best = max(best, d - code.syndrome_rank(basis))
+            best = max(best, code.intersection_dim(basis))
             if best >= k:
                 break
         table.extend([d] * (min(best, k) - len(table)))

@@ -190,6 +190,25 @@ def test_wiretap_empirical_budget_exit_2(tmp_path, capsys):
     assert err == "error: enumerating 256 atoms exceeds the budget of 10\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["grw", "bounds"], ["check", "product"], ["equiv", "product-test"],
+    ["wiretap", "certify", "--wiretap", "TAP"], ["reduce", "exact-d1"],
+    ["reduce", "transform", "--seed", "1"]])
+def test_reduction_commands_refuse_plain_code(tmp_path, capsys, command):
+    """Every command that needs a reduction refuses a code file without a
+    blocks line the same way: exit 1, one error line, nothing on stdout."""
+    gab = str(tmp_path / "g.code")
+    run(capsys, "construct", "gabidulin", "--p", "2", "--m", "2", "--n", "2",
+        "--k", "1", "-o", gab)
+    tap = tmp_path / "tap.wiretap"
+    tap.write_text("wiretap mu=1\nrow 1,0 0,0\n")
+    argv = [str(tap) if a == "TAP" else a for a in command]
+    rc, out, err = run(capsys, *argv, "--input", gab)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "needs a reduction" in err
+
+
 def test_reduce_flows(tmp_path, capsys):
     red = str(tmp_path / "red.code")
     run(capsys, "construct", "mrd-build", "--p", "2", "--m", "3", "--n", "5",
@@ -221,6 +240,12 @@ def test_modulus_override(tmp_path, capsys):
     rc, _, err = run(capsys, "construct", "gabidulin", "--p", "2", "--m", "3",
                      "--n", "3", "--k", "1", "--modulus", "1,1,1,1")
     assert rc == 1 and "reducible" in err  # (y+1)(y^2+1)... not irreducible
+    # unreduced digits are refused, as in a code file, not read mod p
+    for modulus in ("3,1,0,1", "-1,1,0,1"):
+        rc, out, err = run(capsys, "construct", "gabidulin", "--p", "2", "--m", "3",
+                           "--n", "3", "--k", "1", f"--modulus={modulus}")
+        assert rc == 1 and out == ""
+        assert err == "error: modulus coefficients must be reduced mod p\n"
 
 
 def test_construct_gabidulin_with_points(tmp_path, capsys):
@@ -271,9 +296,9 @@ def test_transposed_gab_listing(capsys):
     lines = out.splitlines()
     assert lines[0] == "transposed-gab q=2 n=3 m=2 k=1 size=8 min_rank_distance=2"
     assert len(lines) == 1 + 8
-    rc, _, err = run(capsys, "construct", "transposed-gab", "--p", "2", "--m", "2",
-                     "--n", "3", "--k", "2", "--list", "--budget", "10")
-    assert rc == 2 and "64" in err
+    rc, out, err = run(capsys, "construct", "transposed-gab", "--p", "2", "--m", "2",
+                       "--n", "3", "--k", "2", "--list", "--budget", "10")
+    assert rc == 2 and "64" in err and out == ""
     rc, out, err = run(capsys, "construct", "transposed-gab", "--p", "2", "--m", "2",
                        "--n", "3", "--k", "0")
     assert rc == 1 and out == ""

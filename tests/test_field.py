@@ -31,6 +31,10 @@ def test_check_irreducible_examples():
         FieldTower(2, 2, (0, 1, 1))  # reducible modulus rejected
     with pytest.raises(ValueError):
         FieldTower(4, 2)  # 4 is not prime
+    for modulus in [(3, 1, 0, 1), (-1, 1, 0, 1), (1, 1, 0, 3)]:
+        # refused, not read mod p as y^3 + y + 1
+        with pytest.raises(ValueError, match="reduced mod p"):
+            FieldTower(2, 3, modulus)
 
 
 def test_frobenius_examples():

@@ -76,8 +76,10 @@ def test_joint_enumeration_matches_exact_everywhere(f4):
 
 
 F4, F8, F9 = FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2)
-# (tower, largest n): at most 1,024 atoms, so the per-atom reference stays quick
-_JOINT_TOWERS = [(F4, 5), (F8, 3), (F9, 3)]
+F25, F27 = FieldTower(5, 2), FieldTower(3, 3)
+# (tower, largest n): at most 1,024 atoms, so the per-atom reference stays
+# quick; F_25 and F_27 bring p = 5's wider digit fields and m = 3 for odd p
+_JOINT_TOWERS = [(F4, 5), (F8, 3), (F9, 3), (F25, 2), (F27, 2)]
 
 
 @st.composite
@@ -103,9 +105,11 @@ def tapped_code(draw):
 @example((LinearCode(F9, 3, [[1, 5, 7], [0, 1, 4]]), linalg.identity(3)))
 @example((LinearCode(F8, 3, [[1, 2, 4]]), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
 @example((LinearCode(F4, 4, []), []))
+@example((LinearCode(F25, 2, []), []))
 def test_joint_enumeration_matches_reference(case):
-    """The packed (p = 2) and tuple (odd p) counts give the information of
-    the per-atom loop with two vector–matrix products per atom."""
+    """The counts of packed images, added digit-wise for every p, give the
+    information of the per-atom loop with two vector–matrix products per
+    atom."""
     code, B = case
     assert wt.leakage_joint_enumeration(code, B) == leakage_joint_reference(code, B)
 
