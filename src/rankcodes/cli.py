@@ -34,6 +34,18 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value: an int of at least 0; argparse reports either
+    fault through :meth:`_Parser.error`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be at least 0, got {value}")
+    return value
+
+
 def _tower(args) -> FieldTower:
     modulus = None
     if getattr(args, "modulus", None):
@@ -94,7 +106,7 @@ def build_parser() -> _Parser:
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                        help="candidates the command may enumerate")
 
     con = sub.add_parser("construct", help="emit code files").add_subparsers(
@@ -111,8 +123,7 @@ def build_parser() -> _Parser:
 
     p = con.add_parser("reducible")
     p.add_argument("--inputs", nargs="+", required=True, help="main component code files")
-    p.add_argument("--seed", type=int, help="seed for random off-diagonal blocks")
-    p.add_argument("--fill", choices=["random", "zero"], default="random")
+    p.add_argument("--seed", type=int, required=True, help="seed for random off-diagonal blocks")
     add_out(p)
 
     p = con.add_parser("mrd-plan")
@@ -186,7 +197,7 @@ def build_parser() -> _Parser:
     p = w.add_parser("empirical")
     p.add_argument("--input", required=True)
     p.add_argument("--wiretap", required=True)
-    p.add_argument("--budget", type=int, default=JOINT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=JOINT_BUDGET)
     p = w.add_parser("certify")
     p.add_argument("--input", required=True)
     p.add_argument("--wiretap", required=True)
@@ -220,9 +231,7 @@ def _cmd_construct(args) -> int:
         _emit(args, codes.format_code_file(codes.cartesian(factors)))
     elif what == "reducible":
         mains = [_plain(codes.parse_code_file(_read(path))) for path in args.inputs]
-        if args.fill == "random" and args.seed is None:
-            raise _CliError("--seed is required for random fill")
-        R = codes.reducible(mains, seed=args.seed, fill=args.fill)
+        R = codes.reducible(mains, seed=args.seed)
         _emit(args, codes.format_code_file(R))
     elif what == "mrd-plan":
         plan = codes.mrd_plan(_tower(args), args.n, args.k)

@@ -259,13 +259,10 @@ def cartesian(codes: Sequence[LinearCode]) -> Reduction:
     return Reduction(tower, [c.n for c in codes], [c.k for c in codes], blocks)
 
 
-def reducible(mains: Sequence[LinearCode], *, seed: Optional[int] = None,
-              fill: str = "random") -> Reduction:
-    """Reduction with the given main components.
-
-    Off-diagonal blocks are zero (``fill="zero"``) or seeded-random full
-    matrices (``fill="random"``, requires a seed); a fixed seed reproduces
-    the reduction bit for bit.
+def reducible(mains: Sequence[LinearCode], *, seed: int) -> Reduction:
+    """Reduction with the given main components and seeded-random full
+    off-diagonal blocks; a fixed seed reproduces the reduction bit for
+    bit.  Zero off-diagonal blocks are :func:`cartesian`.
     """
     if not mains:
         raise ValueError("need at least one main component")
@@ -277,15 +274,10 @@ def reducible(mains: Sequence[LinearCode], *, seed: Optional[int] = None,
     blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]] = {
         (i, i): c.G for i, c in enumerate(mains)}
     l = len(mains)
-    if fill == "random":
-        if seed is None:
-            raise ValueError("random fill requires a seed")
-        for i in range(l):
-            for j in range(i + 1, l):
-                rng = linalg.rng_stream(seed, f"offdiag:{i}:{j}")
-                blocks[(i, j)] = rng.integers(0, tower.order, size=(dims[i], lengths[j]))
-    elif fill != "zero":
-        raise ValueError(f"unknown fill mode {fill!r}")
+    for i in range(l):
+        for j in range(i + 1, l):
+            rng = linalg.rng_stream(seed, f"offdiag:{i}:{j}")
+            blocks[(i, j)] = rng.integers(0, tower.order, size=(dims[i], lengths[j]))
     return Reduction(tower, lengths, dims, blocks)
 
 
@@ -442,7 +434,7 @@ def build_mrd_reducible(tower: FieldTower, plan: MrdPlan, seed: int) -> Reductio
     if plan.m != tower.m:
         raise ValueError("plan was derived for a different extension degree")
     mains = [gabidulin(tower, L, d) for L, d in plan.components]
-    R = reducible(mains, seed=seed, fill="random")
+    R = reducible(mains, seed=seed)
     if (R.n, R.k) != (plan.n, plan.k):
         raise InvariantError(f"built an [{R.n}, {R.k}] code from an [{plan.n}, {plan.k}] plan")
     return R

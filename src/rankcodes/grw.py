@@ -164,7 +164,9 @@ def _closed_space_table(code: LinearCode) -> List[int]:
     k, top, tower = code.k, code.closure_dim, code.tower
     found = {top: k}  # d -> a value f(d) is known to reach
     walks: Dict[int, Iterator[int]] = {}
-    kernel = linalg.row_kernel(tower, _syndrome)
+    # plain syndrome rows: an image is its own one item, so no cap saves a row
+    kernel = (lambda row: row, lambda a, b: tower.axpy(a, 1, b), lambda syn: (syn,),
+              lambda echelon, rows, cap: linalg.extend_rows(tower, echelon, rows))
 
     def reaches(d: int, s: int) -> bool:
         leaves = linalg.rank_leaves(tower, code.parity_t(), d, tower.p, kernel, [])
@@ -182,12 +184,6 @@ def _closed_space_table(code: LinearCode) -> List[int]:
             u -= 1
         table.append(u)
     return table
-
-
-def _syndrome(tower, syn: List[int]) -> Tuple[List[int]]:
-    """The item of a syndrome in the closed-space walk: the one row that
-    :func:`linalg.extend_rows` inserts."""
-    return (syn,)
 
 
 def singleton_max_d1(m: int, n: int, k: int) -> int:

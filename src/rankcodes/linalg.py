@@ -15,9 +15,10 @@ is known beforehand (:func:`gaussian_binomial`).
 Both GRW oracles meet the subspaces in the same order as a tree instead
 (:func:`rank_leaves`): a prefix of basis rows fixes the rank of their images
 under one matrix, which every extension shares and can only grow.
-:func:`extend_rows` is the echelon insertion kernel over the tower, which
-the closed walk uses; the subcode walk reduces packed digits instead
-(:func:`rankmetric._walk_kernel`).
+:func:`extend_rows` is the one elimination loop over the tower: the closed
+walk inserts its syndromes with it, :func:`rank` is the length of its
+echelon and :func:`rref` finishes that echelon.  The subcode walk reduces
+packed digits instead (:func:`rankmetric._walk_kernel`).
 
 Membership in a code and dim(C ∩ V) are not computed here by stacking
 rows: :class:`~rankcodes.codes.LinearCode` answers both from its cached
@@ -57,30 +58,21 @@ def rref(rows: Sequence[Sequence[int]], ncols: int, tower) -> tuple[Rows, List[i
 
     Returns (R, pivot_columns).  Zero rows sink to the bottom; the result
     is the unique RREF of the row space, so two matrices generate the same
-    space iff their nonzero RREF rows agree.
+    space iff their nonzero RREF rows agree.  The echelon of
+    :func:`extend_rows`, sorted by pivot, is a row echelon form; each row
+    is scaled to a leading 1 and then clears its pivot column from the
+    rows before it.
     """
-    R = copy_rows(rows)
-    axpy, scale, neg, inv = tower.axpy, tower.scale, tower.neg, tower.inv
+    R: Rows = []
     pivots: List[int] = []
-    r = 0
-    nrows = len(R)
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if R[i][col]), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        head = R[r]
-        if head[col] != 1:
-            R[r] = head = scale(inv(head[col]), head)
-        for i in range(nrows):
-            f = R[i][col]
-            if f and i != r:
-                R[i] = axpy(R[i], neg(f), head)
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return R, pivots
+    for c, row, f in sorted(extend_rows(tower, [], rows)):
+        row = list(row) if row[c] == 1 else tower.scale(tower.neg(f), row)
+        for i, other in enumerate(R):
+            if other[c]:
+                R[i] = tower.axpy(other, tower.neg(other[c]), row)
+        R.append(row)
+        pivots.append(c)
+    return R + zeros(len(rows) - len(R), ncols), pivots
 
 
 def rref_nonzero(rows: Sequence[Sequence[int]], ncols: int, tower) -> Rows:
@@ -89,10 +81,7 @@ def rref_nonzero(rows: Sequence[Sequence[int]], ncols: int, tower) -> Rows:
 
 
 def rank(rows: Sequence[Sequence[int]], ncols: int, tower) -> int:
-    if not rows:
-        return 0
-    _, piv = rref(rows, ncols, tower)
-    return len(piv)
+    return len(extend_rows(tower, [], rows))
 
 
 def kernel(rows: Sequence[Sequence[int]], ncols: int, tower) -> Rows:
@@ -278,8 +267,7 @@ def subspace_bases(n: int, d: int, elements: Sequence[int]) -> Iterator[Rows]:
             yield basis
 
 
-def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]],
-                cap: Optional[int] = None) -> list:
+def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]]) -> list:
     """``echelon`` plus those of ``rows`` that are independent of it.
 
     The echelon is a list of (pivot, row, factor) triples: each row is
@@ -288,9 +276,9 @@ def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]],
     new row is reduced against every triple before it and appended when
     nonzero.  No row is scaled to a leading 1, which would cost a new row
     per insertion.  Neither argument is changed; the result is a new list
-    unless nothing is added.  ``cap`` is the :func:`rank_leaves` cap,
-    which this kernel ignores: the closed walk inserts one syndrome per
-    item, so stopping at the cap would save no row.
+    unless nothing is added.  This is the one elimination loop over the
+    tower: :func:`rank` is the length of its echelon and :func:`rref`
+    finishes it.
     """
     out = echelon
     for s in rows:
@@ -304,11 +292,6 @@ def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]],
     return out
 
 
-def row_kernel(tower, item: Callable) -> tuple:
-    """The :func:`rank_leaves` kernel on plain rows, added by the tower."""
-    return (lambda tower, row: row), (lambda a, b: tower.axpy(a, 1, b)), item, extend_rows
-
-
 def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
                 kernel: tuple, least: list) -> Iterator[int]:
     """Ranks of V·M for the d-dimensional subspaces V of F^n (n = len(M),
@@ -320,15 +303,14 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
     i of a pivot template is e_{p_i} plus a combination of its free
     columns, so its image is M[p_i] + Σ v_j M[j].  With ``kernel`` =
     (pack, add, item, extend), the images of each row are formed once per
-    template, free values in lexicographic order, from ``pack(tower,
-    M[p_i])`` by one ``add`` per free column of a multiple
-    ``pack(tower, v·M[j])`` (:func:`_multiples`, built on first use), and
-    each is kept as ``item(tower, image)``.  The walk is depth first over
-    the rows: each level inserts one item into its prefix's echelon with
-    ``extend(tower, echelon, item, cap)``, and a prefix whose echelon
-    already reaches the least rank found has no lower leaf below it,
-    because the echelon only grows.  At each new least rank ``least`` is
-    set to [basis of V, rank].
+    template, free values in lexicographic order, from ``pack(M[p_i])`` by
+    one ``add`` per free column of a multiple ``pack(v·M[j])``
+    (:func:`_multiples`, built on first use), and each is kept as
+    ``item(image)``.  The walk is depth first over the rows: each level
+    inserts one item into its prefix's echelon with ``extend(echelon,
+    item, cap)``, and a prefix whose echelon already reaches the least
+    rank found has no lower leaf below it, because the echelon only grows.
+    At each new least rank ``least`` is set to [basis of V, rank].
 
     The cap is that least rank: ``extend`` must return the whole echelon
     while its length stays below the cap, and may stop inserting once the
@@ -345,7 +327,7 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
         nonlocal best
         if len(rows) == 1:
             for idx, x in enumerate(rows[0]):
-                rank = len(extend(tower, echelon, x, best))
+                rank = len(extend(echelon, x, best))
                 if rank < best:
                     best = rank
                     least[:] = [_template_basis(n, order, pivots, path + (idx,)), rank]
@@ -353,29 +335,29 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
             return
         rest = rows[1:]
         for idx, x in enumerate(rows[0]):
-            ext = extend(tower, echelon, x, best)
+            ext = extend(echelon, x, best)
             if len(ext) < best:
                 yield from below(rest, ext, path + (idx,))
 
     for pivots in itertools.combinations(range(n), d):
         rows = []
         for p in pivots:
-            images = [pack(tower, M[p])]
+            images = [pack(M[p])]
             for j in range(p + 1, n):
                 if j not in pivots:
                     if j not in multiples:
                         multiples[j] = _multiples(tower, M[j], order, pack, add)
                     images = [add(s, t) for s in images for t in multiples[j]]
-            rows.append([item(tower, s) for s in images])
+            rows.append([item(s) for s in images])
         yield from below(rows, [], ())
 
 
 def _multiples(tower, row: Sequence[int], order: int, pack: Callable, add: Callable) -> list:
-    """``pack(tower, v·row)`` for v in range(order): v = w + c·p^i with
-    w < p^i gives v·row = w·row + c·(y^i·row), one ``add`` per multiple."""
-    out, step = [pack(tower, [0] * len(row))], 1
+    """``pack(v·row)`` for v in range(order): v = w + c·p^i with w < p^i
+    gives v·row = w·row + c·(y^i·row), one ``add`` per multiple."""
+    out, step = [pack([0] * len(row))], 1
     while step < order:
-        unit, block = pack(tower, tower.scale(step, row)), out
+        unit, block = pack(tower.scale(step, row)), out
         for _ in range(tower.p - 1):
             block = [add(x, unit) for x in block]
             out += block

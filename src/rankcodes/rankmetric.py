@@ -35,6 +35,7 @@ basis so equality of spaces is plain equality of bases.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -65,7 +66,7 @@ def vector_trace(tower, vec: Sequence[int]) -> List[int]:
     return [tr(c) for c in vec]
 
 
-def _xor_extend(tower, echelon: list, slices: list, cap: int) -> list:
+def _xor_extend(echelon: list, slices: list, cap: int) -> list:
     """The p = 2 echelon kernel on packed slices: ``echelon`` is an XOR
     basis whose leading bits differ, and each slice independent of it is
     appended reduced against every row before it.  It returns once the
@@ -134,7 +135,7 @@ def _digit_extend(p: int, w: int, n: int):
     # for pivot digit e, cancel[d] = order[e][d]·row: c·e + d ≡ 0 (mod p)
     order = [None] + [[(p - d) * pow(e, -1, p) % p for d in range(p)] for e in range(1, p)]
 
-    def extend(tower, echelon: list, slices: list, cap: int) -> list:
+    def extend(echelon: list, slices: list, cap: int) -> list:
         out = echelon
         for s in slices:
             for shift, cancel in out:
@@ -176,13 +177,11 @@ def _walk_kernel(tower, n: int) -> tuple:
     width = n * w
     mask, shifts = (1 << width) - 1, range(0, m * width, width)
 
-    def pack(tower, vec: Sequence[int]) -> int:
-        return _pack(p, n, w, vec)
-
-    def item(tower, x: int) -> list:
+    def item(x: int) -> list:
         return [(x >> s) & mask for s in shifts]
 
-    return pack, add, item, _xor_extend if p == 2 else _digit_extend(p, w, n)
+    extend = _xor_extend if p == 2 else _digit_extend(p, w, n)
+    return functools.partial(_pack, p, n, w), add, item, extend
 
 
 def closure_dim(tower, rows: Sequence[Sequence[int]], ncols: int) -> int:
@@ -192,7 +191,7 @@ def closure_dim(tower, rows: Sequence[Sequence[int]], ncols: int) -> int:
     pack, _, item, extend = _walk_kernel(tower, ncols)
     echelon = []
     for row in rows:
-        echelon = extend(tower, echelon, item(tower, pack(tower, row)), ncols + 1)
+        echelon = extend(echelon, item(pack(row)), ncols + 1)
     return len(echelon)
 
 

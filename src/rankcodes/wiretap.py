@@ -98,7 +98,7 @@ def _image_counts(tower, cols: Sequence[Sequence[int]], k: int) -> Tuple[Counter
     w, add = _digit_ops(p, tower.m * (k + mu))
     shift = tower.m * k * w
 
-    def pack(tower, row: Sequence[int]) -> int:
+    def pack(row: Sequence[int]) -> int:
         return _pack(p, k, w, row[:k]) | _pack(p, mu, w, row[k:]) << shift
 
     def grow(images: list, col: Sequence[int]):

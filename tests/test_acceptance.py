@@ -128,7 +128,7 @@ def _criterion4_corpus():
                 mains.append(random_full_rank(tower, n_i, k_i, seed=seed,
                                               label=f"accept-corpus-{label}"))
             if kind == 0:
-                corpus.append(("cartesian", reducible(mains, fill="zero")))
+                corpus.append(("cartesian", cartesian(mains)))
             else:
                 corpus.append(("generic", reducible(mains, seed=seed)))
     return corpus
@@ -213,7 +213,7 @@ def test_criterion_5_mrd_family():
 def test_criterion_6_estimates():
     for tower, plan in _family_grid():
         mains = [gabidulin(tower, L, d) for L, d in plan.components]
-        R = reducible(mains, fill="zero")
+        R = cartesian(mains)
         exact, _ = grw_table_exact(R.code())
         assert grw_estimates_mrd(plan) == exact, \
             f"estimates differ from exact for m={plan.m} n={plan.n} k={plan.k}"

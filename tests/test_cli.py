@@ -190,6 +190,23 @@ def test_wiretap_empirical_budget_exit_2(tmp_path, capsys):
     assert err == "error: enumerating 256 atoms exceeds the budget of 10\n"
 
 
+@pytest.mark.parametrize("command", [["grw", "exact"], ["wiretap", "empirical", "--wiretap", "TAP"]])
+def test_negative_budget_is_a_bad_flag(tmp_path, capsys, command):
+    """A budget below 0 is refused as a bad flag (exit 1, one error line,
+    nothing on stdout), not reported as an overrun; a budget of 0 is a
+    valid flag that refuses any enumeration (exit 2)."""
+    opt = str(tmp_path / "opt.code")
+    run(capsys, "construct", "opt", "--p", "2", "--m", "2", "--k", "2", "-o", opt)
+    tap = tmp_path / "tap.wiretap"
+    tap.write_text("wiretap mu=1\nrow 1,0 0,0 0,0 0,0\n")
+    argv = [str(tap) if arg == "TAP" else arg for arg in command] + ["--input", opt]
+    rc, out, err = run(capsys, *argv, "--budget", "-5")
+    assert (rc, out) == (1, "")
+    assert err == "error: argument --budget: budget must be at least 0, got -5\n"
+    rc, out, err = run(capsys, *argv, "--budget", "0")
+    assert (rc, out) == (2, "") and err.endswith("exceeds the budget of 0\n")
+
+
 @pytest.mark.parametrize("command", [
     ["grw", "bounds"], ["check", "product"], ["equiv", "product-test"],
     ["wiretap", "certify", "--wiretap", "TAP"], ["reduce", "exact-d1"],

@@ -3,8 +3,9 @@
 The commands below are the README's CLI section in order, plus a
 closed-space ``grw exact`` on Gabidulin [6,3] over F_64, the
 ``check mrd-rank`` / ``check degenerate`` reports on ``red.code``, and
-Gabidulin codes over F_27 (odd characteristic) and F_2048 (a tower too
-large for tables of order squared) with their weights and dual.  Each
+Gabidulin codes over F_27 (odd characteristic) and F_2048 (the largest
+tower of the session, on the log tables that every tower up to 2^16 uses)
+with their weights and dual.  Each
 transcript block holds the command, its stdout, its exit code and, for
 ``-o`` commands, the file it wrote.  The expected transcript lives in
 ``cli_golden.txt`` next to this file; after a deliberate output change,

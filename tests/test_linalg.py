@@ -213,31 +213,54 @@ def test_matmul_and_solve_right(f9):
     assert linalg.solve_right([[1, 0], [1, 0]], 2, [1, 0], f9) is None
 
 
-_EXTEND_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2), FieldTower(3, 3)]
+# F_2, F_3, F_4, F_8 and F_9, each with the most rows whose coefficient
+# tuples number at most 729, so every span is listed in full
+_EXTEND_TOWERS = [(FieldTower(2, 1), 4), (FieldTower(3, 1), 4), (FieldTower(2, 2), 4),
+                  (FieldTower(2, 3), 3), (FieldTower(3, 2), 3)]
 
 
 @st.composite
 def rows_to_insert(draw):
-    """Rows over F_4, F_8, F_9 or F_27 picked with repeats from a pool that
-    holds the zero row and rows drawn over F_q or over F_{q^m}, plus the
-    number of them inserted by the first of two calls."""
-    t = draw(st.sampled_from(_EXTEND_TOWERS))
+    """Rows picked with repeats from a pool that holds the zero row and rows
+    drawn over F_q or over F_{q^m}, plus the number of them inserted by the
+    first of two calls."""
+    t, most = draw(st.sampled_from(_EXTEND_TOWERS))
     n = draw(st.integers(1, 5))
     pool = [[0] * n] + [draw(st.lists(st.integers(0, (t.p if draw(st.booleans()) else t.order) - 1),
                                       min_size=n, max_size=n))
                         for _ in range(draw(st.integers(1, 4)))]
-    rows = [list(pool[i]) for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=7))]
+    rows = [list(pool[i]) for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=most))]
     return t, n, rows, draw(st.integers(0, len(rows)))
+
+
+def _span(t, rows, n):
+    """Every vector of the row space, as the products x·rows over all
+    coefficient tuples x."""
+    return {tuple(linalg.vec_mat(x, rows, n, t))
+            for x in itertools.product(range(t.order), repeat=len(rows))}
 
 
 @settings(max_examples=80, deadline=None)
 @given(rows_to_insert())
 def test_extend_rows_matches_rank(case):
-    """The echelon built in two insertions holds one row per dimension of
-    the span and spans the same space; the inserted rows are not changed."""
+    """The echelon of two insertions, rank and rref against spans listed in
+    full: the echelon has one row per dimension of the span and spans it,
+    order^rank is the size of the span, and rref is a reduced row echelon
+    form of the same space with its zero rows last.  The inserted rows are
+    not changed."""
     t, n, rows, split = case
     given_rows = linalg.copy_rows(rows)
+    span = _span(t, rows, n)
     echelon = linalg.extend_rows(t, linalg.extend_rows(t, [], rows[:split]), rows[split:])
-    assert len(echelon) == linalg.rank(rows, n, t)
-    assert linalg.rowspace_equal([row for _, row, _ in echelon], rows, n, t)
+    assert t.order ** len(echelon) == len(span)
+    assert _span(t, [row for _, row, _ in echelon], n) == span
+    assert t.order ** linalg.rank(rows, n, t) == len(span)
+
+    R, pivots = linalg.rref(rows, n, t)
+    assert len(R) == len(rows) and t.order ** len(pivots) == len(span)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in R] == [int(j == i) for j in range(len(R))]
+    assert all(any(row) for row in R[:len(pivots)]) and not any(map(any, R[len(pivots):]))
+    assert _span(t, R, n) == span
     assert rows == given_rows

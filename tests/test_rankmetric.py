@@ -220,7 +220,7 @@ def test_walk_multiples_match_slices(data):
         rows = matrix_rep(t, t.scale(v, x))
         assert multiples[v] == sum(b << (i * n + j) * w for i, row in enumerate(rows)
                                    for j, b in enumerate(row))
-        slices = item(t, multiples[v])
+        slices = item(multiples[v])
         assert [[s >> j * w & (1 << w) - 1 for j in range(n)] for s in slices] == rows
 
 
@@ -241,7 +241,7 @@ def test_packed_digit_kernel_matches_rank(data):
     pack, add, item, extend = rankmetric._walk_kernel(t, n)
     vec = st.lists(st.integers(0, t.order - 1), min_size=n, max_size=n)
     a, b = data.draw(vec), data.draw(vec)
-    digits = [[s >> j * w & (1 << w) - 1 for j in range(n)] for s in item(t, add(pack(t, a), pack(t, b)))]
+    digits = [[s >> j * w & (1 << w) - 1 for j in range(n)] for s in item(add(pack(a), pack(b)))]
     assert digits == [[(x + y) % p for x, y in zip(ra, rb)]
                       for ra, rb in zip(matrix_rep(t, a), matrix_rep(t, b))]
 
@@ -254,7 +254,7 @@ def test_packed_digit_kernel_matches_rank(data):
     split = data.draw(st.integers(0, len(rows)))
     cap = data.draw(st.integers(1, n + 1))
     packed = [sum(d << j * w for j, d in enumerate(row)) for row in rows]
-    length = len(extend(t, extend(t, [], packed[:split], n + 1), packed[split:], cap))
+    length = len(extend(extend([], packed[:split], n + 1), packed[split:], cap))
     rank = linalg.rank(rows, n, t)
     assert length == rank if rank < cap else length >= cap
 
