@@ -27,7 +27,8 @@ class LinearCode:
     membership and intersection goes through it: v is in C iff v·Hᵀ = 0,
     and dim(C ∩ V) = rank(V) − rank(V·Hᵀ), so no caller re-eliminates the
     generator stacked with the vectors it asks about.  The dimension of the
-    Galois closure C* is cached the same way, one closure per code.
+    Galois closure C* is cached the same way, one closure per code, and so
+    is the dual code, whose own Hᵀ is this RREF transposed.
     """
 
     def __init__(self, tower: FieldTower, n: int, rows: Sequence[Sequence[int]]):
@@ -50,6 +51,7 @@ class LinearCode:
         self.rref = tuple(tuple(r) for r in reduced)
         self._Ht: Optional[List[List[int]]] = None
         self._closure_dim: Optional[int] = None
+        self._dual: Optional[LinearCode] = None
 
     def parity_t(self) -> List[List[int]]:
         """Hᵀ, n rows of width n − k; the syndrome of v is v·Hᵀ."""
@@ -79,7 +81,15 @@ class LinearCode:
             yield self.codeword(x)
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.tower, self.n, linalg.transpose(self.parity_t(), self.n - self.k))
+        """C^⊥, generated by H and built once.  Its parity check is a basis
+        of C, so its Hᵀ is this code's RREF transposed and no second kernel
+        is computed; its dual is this code."""
+        if self._dual is None:
+            dual = LinearCode(self.tower, self.n, linalg.transpose(self.parity_t(), self.n - self.k))
+            dual._Ht = linalg.transpose(self.rref, self.n)
+            dual._dual = self
+            self._dual = dual
+        return self._dual
 
     def equals(self, other: "LinearCode") -> bool:
         return self.tower == other.tower and self.n == other.n and self.rref == other.rref

@@ -13,10 +13,16 @@ every weight.  Both trees are the one walk of :func:`linalg.rank_leaves`:
 on the generator matrix over F_{q^m} with coordinate slices as items
 (packed into one int of F_p digits and reduced on it), or on Hᵀ over F_q
 with syndromes as items.  The oracles must agree; their enumeration costs
-differ by orders of magnitude depending on the parameters, so the auto
-mode picks whichever is cheaper and the report records which oracle
-produced each value.  Each oracle computes the whole table d_1 .. d_k,
-through the one exact entry point :func:`grw_table_exact`.
+differ by orders of magnitude depending on the parameters.
+
+Either oracle may run on C or on its dual: by Wei duality the weights
+{d_r(C) : r <= k} and {n + 1 − d_s(C^⊥) : s <= n − k} split 1..n, so the
+table of C^⊥ gives that of C (:func:`_wei_complement`).  The subcode walk
+of a code with k > n/2 costs orders of magnitude more than that of its
+dual.  The one exact entry point :func:`grw_table_exact` prices the four
+plans and runs the cheapest (the cheaper side of the forced oracle when a
+method is named); the report records the oracle and the side in its tag,
+``oracle-subcode``, ``oracle-closed-space`` or either with ``-dual``.
 
 A budget is compared once, before the first candidate, with the price of
 what an entry point may enumerate: one table, or all the tables it needs.
@@ -96,49 +102,96 @@ class GrwReport:
                 prev = d
 
 
-def _subcode_cost(code: LinearCode) -> int:
-    """Subcodes the subcode oracle reaches at most for a table: [k r]_{q^m}
-    summed over r."""
-    return sum(gaussian_binomial(code.k, r, code.tower.order) for r in range(1, code.k + 1))
+def _subcode_cost(k: int, order: int) -> int:
+    """Subcodes the subcode oracle reaches at most for the table of a
+    k-dimensional code over F_{q^m} (order q^m): [k r]_{q^m} summed over r."""
+    return sum(gaussian_binomial(k, r, order) for r in range(1, k + 1))
 
 
-def _closed_cost(code: LinearCode) -> int:
+def _closed_cost(code: LinearCode, top: Optional[int] = None) -> int:
     """Subspaces the closed-space scan visits at most for a table: every
-    subspace of dimension up to dim C* = the ceiling of d_k; the walk
-    stays below it."""
-    return sum(gaussian_binomial(code.n, d, code.tower.p)
-               for d in range(1, code.closure_dim + 1))
+    subspace of dimension up to dim C* = the ceiling of d_k (or ``top``);
+    the walk stays below it."""
+    top = code.closure_dim if top is None else top
+    return sum(gaussian_binomial(code.n, d, code.tower.p) for d in range(1, top + 1))
 
 
-def _plan(code: LinearCode, method: str) -> Tuple[str, int]:
-    """The oracle a table runs and its price; auto takes the cheaper
-    oracle, the subcode one on a tie."""
-    if method == "auto":
-        sub, closed = _subcode_cost(code), _closed_cost(code)
-        return ("subcodes", sub) if sub <= closed else ("closed", closed)
-    return method, _subcode_cost(code) if method == "subcodes" else _closed_cost(code)
+@dataclass(frozen=True)
+class _Plan:
+    """One way to the table: an oracle on C or on C^⊥, and its price."""
+    oracle: str  # "subcodes" or "closed"
+    dual: bool
+    price: int
+
+
+def _plan(code: LinearCode, method: str) -> _Plan:
+    """The cheapest of the subcode and closed walks on C and on C^⊥ (only
+    ``method``'s two when it is not auto).  A tie goes to the subcode walk,
+    then to the closed walk on the side with fewer parity checks, whose
+    syndromes are narrower (V ↦ V^⊥ matches the leaves of the two sides),
+    and otherwise to C.  The price of C^⊥ needs no dual code:
+    its subcode walk is priced by n − k alone, and dim (C^⊥)* >= n − k is
+    read from the columns of Hᵀ only when the dual closed walk can still
+    win at that floor."""
+    n, k, tower = code.n, code.k, code.tower
+    # sort keys: price, closed after subcodes, then parity checks, then C first
+    keys = []
+    if method != "closed":
+        keys += [(_subcode_cost(k, tower.order), 0, 0, False),
+                 (_subcode_cost(n - k, tower.order), 0, 0, True)]
+    if method != "subcodes":
+        keys.append((_closed_cost(code), 1, n - k, False))
+        if (_closed_cost(code, n - k), 1, k, True) < min(keys):
+            dual_top = rankmetric.closure_dim(tower, linalg.transpose(code.parity_t(), n - k), n)
+            keys.append((_closed_cost(code, dual_top), 1, k, True))
+    price, closed, _, dual = min(keys)
+    return _Plan("closed" if closed else "subcodes", dual, price)
+
+
+def _run(code: LinearCode, plan: _Plan) -> Tuple[List[int], str]:
+    """The table of ``code`` by ``plan``: the oracle runs on the side the
+    plan names, and a table of C^⊥ is turned into C's by Wei duality."""
+    side = code.dual() if plan.dual else code
+    if plan.oracle == "subcodes":
+        table = [rankmetric.min_closure(side, r)[1] for r in range(1, side.k + 1)]
+        tag = "oracle-subcode"
+    else:
+        table, tag = _closed_space_table(side), "oracle-closed-space"
+    if plan.dual:
+        return _wei_complement(table, code.n, code.k), tag + "-dual"
+    return table, tag
+
+
+def _wei_complement(dual_table: Sequence[int], n: int, k: int) -> List[int]:
+    """C's table from the table of C^⊥ by Wei duality: {d_r(C) : r <= k}
+    and {n + 1 − d_s(C^⊥) : s <= n − k} split 1..n."""
+    taken = {n + 1 - d for d in dual_table}
+    table = [d for d in range(1, n + 1) if d not in taken]
+    if len(table) != k:
+        raise InvariantError(f"the Wei complement of the dual table {list(dual_table)} "
+                             f"has {len(table)} members, not k={k}")
+    return table
 
 
 def grw_table_exact(code: LinearCode, budget: int = DEFAULT_BUDGET,
                     method: str = "auto") -> Tuple[List[int], str]:
-    """Exact table (d_{R,1}, ..., d_{R,k}) plus the oracle tag used."""
+    """Exact table (d_{R,1}, ..., d_{R,k}) plus the oracle tag used: the
+    oracle ``method`` names (the cheaper one for auto) on the cheaper of C
+    and C^⊥, the tag ending in ``-dual`` for C^⊥."""
     if method not in ("auto", "subcodes", "closed"):
         raise ValueError(f"unknown oracle method {method!r}")
     if code.k == 0:
         return [], "oracle-subcode"
-    method, cost = _plan(code, method)
-    check_budget(cost, budget, "subspaces")
-    if method == "subcodes":
-        table = [rankmetric.min_closure(code, r)[1] for r in range(1, code.k + 1)]
-        return table, "oracle-subcode"
-    return _closed_space_table(code), "oracle-closed-space"
+    plan = _plan(code, method)
+    check_budget(plan.price, budget, "subspaces")
+    return _run(code, plan)
 
 
 def _exact_tables(codes: Sequence[LinearCode], budget: int) -> List[List[int]]:
     """Exact tables of several codes under one budget: the sum of the
-    prices of the auto oracle of each is checked before the first one
+    prices of the auto plan of each is checked before the first one
     starts."""
-    check_budget(sum(_plan(c, "auto")[1] for c in codes), budget, "subspaces")
+    check_budget(sum(_plan(c, "auto").price for c in codes), budget, "subspaces")
     return [grw_table_exact(c, budget)[0] for c in codes]
 
 
@@ -345,15 +398,19 @@ def mrd_rank_from_table(table: Sequence[int], n: int, k: int) -> int:
 
 
 def mrd_rank(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """MRD rank through the dual: k - d_{R,1}(C-perp) + 2, with the zero
-    code assigned first weight n+1."""
-    dual = code.dual()
-    if dual.k == 0:
-        d1 = code.n + 1
-    else:
-        d1, _ = grw_table_exact(dual, budget)
-        d1 = d1[0]
-    return code.k - d1 + 2
+    """MRD rank k − d_{R,1}(C^⊥) + 2, the zero code having first weight
+    n + 1, by the cheaper route under the one budget: an r = 1 walk on
+    C^⊥, priced [n−k 1]_{q^m}, or C's table as :func:`grw_table_exact`
+    would compute it, read by :func:`mrd_rank_from_table`; a tie takes the
+    walk."""
+    n, k = code.n, code.k
+    if k == n:
+        return 1  # k − (n + 1) + 2
+    walk, plan = gaussian_binomial(n - k, 1, code.tower.order), _plan(code, "auto")
+    check_budget(min(walk, plan.price), budget, "subspaces")
+    if walk <= plan.price:
+        return k - rankmetric.min_closure(code.dual(), 1)[1] + 2
+    return mrd_rank_from_table(_run(code, plan)[0], n, k)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from rankcodes import (FieldTower, LinearCode, build_c_opt, build_mrd_reducible,
                        mrd_rank, plotkin_variant, product_characterization,
                        reducible, singleton_check, to_c_opt)
 from rankcodes.codes import random_block_transform, transform_reduction, exact_reduction_for_d1
+from rankcodes import grw as grw_mod
 from rankcodes.grw import mrd_rank_from_table
 from rankcodes.rankmetric import GaloisClosedSpace, min_closure
 from rankcodes.wiretap import leakage_joint_enumeration
@@ -160,17 +161,24 @@ def test_criterion_4_bounds_sandwich(corpus4):
                     assert entry.lower == entry.upper == exact[r - 1] == R.n - R.k + r
 
 
+def _direct_table(code):
+    """The table of ``code`` by an oracle run on the code itself, never
+    through its dual: the subcode walk where it is priced lower, the
+    closed-space walk otherwise."""
+    if grw_mod._subcode_cost(code.k, code.tower.order) <= grw_mod._closed_cost(code):
+        return [min_closure(code, r)[1] for r in range(1, code.k + 1)]
+    return grw_mod._closed_space_table(code)
+
+
 @_report("10 duality-mrd-rank")
 def test_criterion_10_duality(corpus4):
     for _, R in corpus4:
         code = R.code()
-        exact, _ = grw_table_exact(code)
-        assert mrd_rank(code) == mrd_rank_from_table(exact, code.n, code.k)
-        dual = code.dual()
-        if dual.k:
-            dual_exact, _ = grw_table_exact(dual)
-        else:
-            dual_exact = []
+        exact, dual = _direct_table(code), code.dual()
+        dual_exact = _direct_table(dual)
+        assert grw_table_exact(code)[0] == exact
+        d1_dual = dual_exact[0] if dual.k else code.n + 1
+        assert mrd_rank(code) == mrd_rank_from_table(exact, code.n, code.k) == code.k - d1_dual + 2
         bound = dual_grw_upper(R)
         for b, d in zip(bound, dual_exact):
             assert b >= d

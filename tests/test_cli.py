@@ -47,13 +47,14 @@ def test_estimates_outside_hypotheses_exit_1(capsys):
 
 
 def test_budget_exit_code_names_count(tmp_path, capsys):
-    path = str(tmp_path / "gab.code")
-    run(capsys, "construct", "gabidulin", "--p", "2", "--m", "4",
-        "--n", "4", "--k", "3", "-o", path)
+    path = str(tmp_path / "mrd.code")
+    run(capsys, "construct", "mrd-build", "--p", "2", "--m", "4",
+        "--n", "6", "--k", "3", "--seed", "1", "-o", path)
     rc, _, err = run(capsys, "grw", "exact", "--input", path,
                      "--method", "subcodes", "--budget", "10")
     assert rc == 2
-    assert "547" in err  # the whole table: [3 1]_16 + [3 2]_16 + [3 3]_16
+    # the whole table: [3 1]_16 + [3 2]_16 + [3 3]_16, the same on C^⊥ since k = n − k
+    assert "547" in err
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -133,6 +134,18 @@ def test_dual_and_mrd_rank(tmp_path, capsys):
     assert parsed.k == 2
     rc, out, _ = run(capsys, "check", "mrd-rank", "--input", gab)
     assert rc == 0 and out.strip() == "mrd_rank=1"
+
+
+def test_mrd_rank_within_the_default_budget(tmp_path, capsys):
+    """The seed-1 MRD build over F_16 with n = 10, k = 4: the table of C
+    prices at 78,900 subcodes, where the whole dual table would price at
+    229,755,604 and the r = 1 walk on C^⊥ at [6 1]_16 = 1,118,481."""
+    path = str(tmp_path / "m.code")
+    run(capsys, "construct", "mrd-build", "--p", "2", "--m", "4", "--n", "10", "--k", "4",
+        "--seed", "1", "-o", path)
+    assert run(capsys, "check", "mrd-rank", "--input", path) == (0, "mrd_rank=4\n", "")
+    rc, out, _ = run(capsys, "grw", "exact", "--input", path)
+    assert rc == 0 and "mrd_rank=4" in out.splitlines()[-1]
 
 
 def test_equiv_to_opt_flow(tmp_path, capsys):

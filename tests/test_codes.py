@@ -102,6 +102,20 @@ def test_dual_examples(f4):
     assert LinearCode(t1, 3, [[1, 1, 1]]).dual().k == 2
 
 
+def test_cached_dual_reads_its_parity_check_from_the_rref(f4, f9):
+    """The dual is built once, and its Hᵀ (C's RREF transposed) is the one a
+    fresh code on its generator computes from its own kernel."""
+    for code in [random_full_rank(f4, 5, 2, seed=1), random_full_rank(f9, 4, 3, seed=2),
+                 LinearCode(f4, 3, []), gabidulin(f4, 2, 2)]:
+        dual = code.dual()
+        assert code.dual() is dual and dual.dual() is code
+        fresh = LinearCode(code.tower, code.n, dual.G)
+        assert dual.parity_t() == fresh.parity_t()
+        assert fresh.dual().equals(code)
+        assert all(not any(linalg.vec_mat(g, dual.parity_t(), code.k, code.tower))
+                   for g in dual.G)
+
+
 def test_intersection_dim_examples(f4):
     F2 = FieldTower(2, 1)
     U = [[1, 0, 0], [0, 1, 0]]

@@ -11,6 +11,7 @@ from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
                        linalg, mrd_plan, mrd_rank, mrd_rank_bounds,
                        reducible, singleton_check)
 from rankcodes.codes import Reduction
+from rankcodes.errors import InvariantError
 from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
 from rankcodes.rankmetric import GaloisClosedSpace, closure_dim, min_closure
 from rankcodes import codes as codes_mod, grw as grw_mod
@@ -46,7 +47,7 @@ def test_oracles_agree_on_seeded_codes(f4, f9):
 
 
 def test_oracle_budget_error(f16):
-    code = gabidulin(f16, 4, 3)
+    code = gabidulin(f16, 4, 2)  # k = n − k: both sides price [2 1]_16 + [2 2]_16 = 18
     with pytest.raises(BudgetError):
         grw_table_exact(code, budget=10, method="subcodes")
 
@@ -68,7 +69,8 @@ def enumerated(monkeypatch):
 
 
 def test_subcode_table_priced_before_enumeration(f16, enumerated):
-    code = gabidulin(f16, 4, 3)  # [3 1]_16 = [3 2]_16 = 273, [3 3]_16 = 1
+    # k = n − k, so C^⊥ prices the same: [3 1]_16 = [3 2]_16 = 273, [3 3]_16 = 1
+    code = random_full_rank(f16, 6, 3, seed=0, label="priced-before")
     assert min_closure(code, 1)[1] == 2
     assert 0 < len(enumerated) <= 273
     enumerated.clear()
@@ -102,22 +104,42 @@ def test_component_tables_share_one_budget(f16, enumerated):
 
 def test_walks_reach_pinned_leaf_counts(enumerated):
     """The exact work of both walks on fixed codes, as leaves reached per
-    table: the closed walk on Gabidulin codes, the subcode walk over
+    table on C: the closed walk on Gabidulin codes, the subcode walk over
     r = 1..k on seeded MRD builds."""
     for (p, m, n, k), leaves in [((2, 4, 4, 3), 15), ((2, 6, 6, 3), 1395), ((2, 6, 6, 4), 651),
                                  ((2, 7, 7, 3), 11811), ((3, 5, 5, 3), 1210),
                                  ((2, 11, 6, 3), 1395)]:
         enumerated.clear()
-        grw_table_exact(gabidulin(FieldTower(p, m), n, k), method="closed")
+        grw_mod._closed_space_table(gabidulin(FieldTower(p, m), n, k))
         assert len(enumerated) == leaves, (p, m, n, k)
     for (p, m, n, k), leaves in [((2, 3, 7, 4), 686), ((3, 3, 6, 3), 1515),
                                  ((2, 6, 8, 3), 6223), ((2, 4, 8, 3), 547),
                                  ((3, 2, 6, 3), 183), ((5, 2, 4, 2), 27), ((3, 3, 7, 3), 1515)]:
         t = FieldTower(p, m)
+        code = codes_mod.build_mrd_reducible(t, mrd_plan(t, n, k), seed=1).code()
         enumerated.clear()
-        grw_table_exact(codes_mod.build_mrd_reducible(t, mrd_plan(t, n, k), seed=1).code(),
-                        method="subcodes")
+        for r in range(1, k + 1):
+            min_closure(code, r)
         assert len(enumerated) == leaves, (p, m, n, k)
+
+
+def test_dual_routes_reach_pinned_leaf_counts(enumerated):
+    """The leaves of the tables that run on C^⊥, with the tag that says so:
+    each Gabidulin code of the closed_scan benchmark whose plan takes the
+    dual, and the one seed-1 MRD build there whose k exceeds n − k."""
+    for (p, m, n, k), tag, leaves in [
+            ((2, 4, 4, 3), "oracle-subcode-dual", 1),
+            ((2, 6, 6, 4), "oracle-subcode-dual", 66),
+            ((2, 7, 7, 3), "oracle-closed-space-dual", 11811),
+            ((3, 5, 5, 3), "oracle-subcode-dual", 245)]:
+        enumerated.clear()
+        table, got = grw_table_exact(gabidulin(FieldTower(p, m), n, k))
+        assert (table, got, len(enumerated)) == (list(range(n - k + 1, n + 1)), tag, leaves)
+    t = FieldTower(2, 3)
+    code = codes_mod.build_mrd_reducible(t, mrd_plan(t, 7, 4), seed=1).code()
+    enumerated.clear()
+    assert grw_table_exact(code, method="subcodes")[1] == "oracle-subcode-dual"
+    assert len(enumerated) == 147
 
 
 _CLOSED_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2), FieldTower(2, 4)]
@@ -154,6 +176,28 @@ def test_closed_scan_matches_reference(code):
     with mock.patch.object(linalg, "rank_leaves", counted):
         assert grw_mod._closed_space_table(code) == closed_space_table_reference(code)
         assert len(leaves) <= grw_mod._closed_cost(code)
+
+
+def test_wei_complement_needs_k_members():
+    assert grw_mod._wei_complement([2, 3], 3, 1) == [3]  # Gabidulin [3,2] from its dual
+    assert grw_mod._wei_complement([], 3, 3) == [1, 2, 3]
+    for dual_table, n, k in [([2, 3], 3, 2), ([1, 1], 4, 2), ([5], 4, 3), ([2, 3], 4, 1)]:
+        with pytest.raises(InvariantError, match="Wei complement"):
+            grw_mod._wei_complement(dual_table, n, k)
+
+
+def test_plan_prices_both_sides(f16):
+    """The side with the lower price runs, and a tie keeps C; the dual's
+    closure is read only when its closed walk can still win."""
+    code = gabidulin(f16, 4, 3)
+    with mock.patch.object(codes_mod.LinearCode, "dual", side_effect=AssertionError):
+        assert grw_mod._plan(code, "auto") == grw_mod._Plan("subcodes", True, 1)
+    # closed prices tie at 66; C has one parity check against the dual's three
+    assert grw_mod._plan(code, "closed") == grw_mod._Plan("closed", False, 66)
+    assert grw_mod._plan(code.dual(), "closed") == grw_mod._Plan("closed", True, 66)
+    assert grw_mod._plan(gabidulin(f16, 4, 2), "subcodes") == grw_mod._Plan("subcodes", False, 18)
+    with mock.patch.object(grw_mod.rankmetric, "closure_dim", side_effect=AssertionError):
+        grw_mod._plan(code, "auto")  # the dual floor, 15, already loses to 1
 
 
 def test_oracle_validation(f4):
@@ -342,6 +386,23 @@ def test_mrd_rank_table_vs_dual_formula(f4, f8):
         assert mrd_rank_from_table(table, code.n, code.k) == mrd_rank(code)
 
 
+def test_mrd_rank_routes_agree_and_share_the_budget(f4, f8):
+    """mrd_rank takes the r = 1 walk on C^⊥ when k >= n − k and C's table
+    otherwise here; each agrees with the other route run directly, and the
+    cheaper price is the one checked against the budget."""
+    for tower, n, k, seed in [(f4, 5, 1, 1), (f4, 5, 2, 2), (f4, 5, 3, 3), (f4, 5, 4, 4),
+                              (f8, 4, 1, 5), (f8, 4, 3, 6)]:
+        code = random_full_rank(tower, n, k, seed=seed, label="mrdrank-routes")
+        walk = k - min_closure(code.dual(), 1)[1] + 2
+        table = [min_closure(code, r)[1] for r in range(1, k + 1)]
+        assert mrd_rank(code) == walk == mrd_rank_from_table(table, n, k)
+        price = min(linalg.gaussian_binomial(n - k, 1, tower.order),
+                    grw_mod._plan(code, "auto").price)
+        with pytest.raises(BudgetError) as err:
+            mrd_rank(code, budget=price - 1)
+        assert err.value.count == price
+
+
 def test_mrd_rank_bounds(f4, f8):
     # cartesian of Gabidulin codes: equality everywhere
     mains = [gabidulin(f8, 3, 2), gabidulin(f8, 2, 1)]
@@ -498,10 +559,23 @@ def small_code(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_code())
 def test_wei_duality(code):
-    """{d_r(C)} and {n + 1 - d_r(C-perp)} split 1..n disjointly."""
-    table, _ = grw_table_exact(code)
-    dual_table, _ = grw_table_exact(code.dual())
+    """{d_r(C)} and {n + 1 - d_r(C-perp)} split 1..n disjointly, each table
+    from the subcode oracle run on its own side."""
+    table = [min_closure(code, r)[1] for r in range(1, code.k + 1)]
+    dual = code.dual()
+    dual_table = [min_closure(dual, r)[1] for r in range(1, dual.k + 1)]
     assert sorted(table + [code.n + 1 - d for d in dual_table]) == list(range(1, code.n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_code())
+def test_routed_table_matches_direct_oracles(code):
+    """Whatever side and oracle the plan picks (k ranges over 0..n, above
+    and below n/2), the table equals that of each oracle run on C."""
+    by_subcodes = [min_closure(code, r)[1] for r in range(1, code.k + 1)]
+    assert grw_mod._closed_space_table(code) == by_subcodes
+    for method in ("auto", "subcodes", "closed"):
+        assert grw_table_exact(code, method=method)[0] == by_subcodes
 
 
 @st.composite
