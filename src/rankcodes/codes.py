@@ -3,6 +3,9 @@ cartesian products, reducible codes and their reductions, the MRD
 reducible family for n > m, the length-km family with all weights
 maximal, transposed Gabidulin codes, and Plotkin-style variants.
 
+The structured dual of a reducible code is again a :class:`Reduction`:
+one of C^⊥ with the blocks in reverse order (:func:`dual_reduction`).
+
 Also owns the line-oriented code file format used by the CLI.
 """
 
@@ -107,27 +110,38 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.tower.order})"
 
 
-class _BlockRows:
-    """Block bookkeeping shared by a reduction and its structured dual.
+class Reduction:
+    """A block-upper-triangular generator structure.
 
-    Row group i has row_dims[i] rows and column block j has lengths[j]
-    columns; block (i, j) is the row_dims[i] x lengths[j] piece where they
-    meet.  A block missing from the store reads as zero.
+    Row group i has dims[i] rows and column block j has lengths[j]
+    columns; block (i, j) is the dims[i] x lengths[j] piece where they
+    meet (0-indexed, i <= j).  Each diagonal block generates the main
+    component C_i and must have full rank; a block missing from the store
+    reads as zero.
     """
 
-    def __init__(self, tower: FieldTower, lengths: Sequence[int], row_dims: Sequence[int],
+    def __init__(self, tower: FieldTower, lengths: Sequence[int], dims: Sequence[int],
                  blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]]):
+        if len(lengths) != len(dims) or not lengths:
+            raise ValueError("lengths and dims must be equally sized and nonempty")
+        if any(n_i < 1 for n_i in lengths) or any(k_i < 0 for k_i in dims):
+            raise ValueError("block lengths must be positive and dims nonnegative")
         self.tower = tower
         self.lengths = tuple(int(x) for x in lengths)
-        self._row_dims = tuple(int(x) for x in row_dims)
+        self.dims = tuple(int(x) for x in dims)
         store: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
         for (i, j), rows in blocks.items():
+            if not (0 <= i <= j < self.l):
+                raise ValueError(f"block index {(i, j)} outside the upper triangle")
             rows = tuple(tuple(int(x) for x in row) for row in rows)
-            if len(rows) != self._row_dims[i] or any(len(row) != self.lengths[j] for row in rows):
+            if len(rows) != self.dims[i] or any(len(row) != self.lengths[j] for row in rows):
                 raise ValueError(f"block {(i, j)} has the wrong shape")
             store[(i, j)] = rows
         self.blocks = store
         self._code: Optional[LinearCode] = None
+        for i in range(self.l):
+            if linalg.rank(self.block(i, i), self.lengths[i], tower) != self.dims[i]:
+                raise ValueError(f"diagonal block {i} is rank deficient")
 
     @property
     def l(self) -> int:
@@ -137,14 +151,18 @@ class _BlockRows:
     def n(self) -> int:
         return sum(self.lengths)
 
+    @property
+    def k(self) -> int:
+        return sum(self.dims)
+
     def block(self, i: int, j: int) -> Tuple[Tuple[int, ...], ...]:
-        zero = ((0,) * self.lengths[j],) * self._row_dims[i]
+        zero = ((0,) * self.lengths[j],) * self.dims[i]
         return self.blocks.get((i, j), zero)
 
     def _group_rows(self, i: int) -> List[List[int]]:
         """The full-length rows of row group i."""
         blocks = [self.block(i, j) for j in range(self.l)]
-        return [[x for blk in blocks for x in blk[r]] for r in range(self._row_dims[i])]
+        return [[x for blk in blocks for x in blk[r]] for r in range(self.dims[i])]
 
     def generator(self) -> List[List[int]]:
         return [row for i in range(self.l) for row in self._group_rows(i)]
@@ -153,38 +171,6 @@ class _BlockRows:
         if self._code is None:
             self._code = LinearCode(self.tower, self.n, self.generator())
         return self._code
-
-
-class Reduction(_BlockRows):
-    """A block-upper-triangular generator structure.
-
-    Blocks G_{i,j} (0-indexed, i <= j) have shape dims[i] x lengths[j];
-    each diagonal block generates the main component C_i and must have
-    full rank.  Off-diagonal blocks default to zero.
-    """
-
-    def __init__(self, tower: FieldTower, lengths: Sequence[int], dims: Sequence[int],
-                 blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]]):
-        if len(lengths) != len(dims) or not lengths:
-            raise ValueError("lengths and dims must be equally sized and nonempty")
-        if any(n_i < 1 for n_i in lengths) or any(k_i < 0 for k_i in dims):
-            raise ValueError("block lengths must be positive and dims nonnegative")
-        l = len(lengths)
-        for (i, j) in blocks:
-            if not (0 <= i <= j < l):
-                raise ValueError(f"block index {(i, j)} outside the upper triangle")
-        super().__init__(tower, lengths, dims, blocks)
-        for i in range(l):
-            if linalg.rank(self.block(i, i), self.lengths[i], tower) != self.dims[i]:
-                raise ValueError(f"diagonal block {i} is rank deficient")
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        return self._row_dims
-
-    @property
-    def k(self) -> int:
-        return sum(self.dims)
 
     def col_offset(self, j: int) -> int:
         return sum(self.lengths[:j])
@@ -195,15 +181,10 @@ class Reduction(_BlockRows):
     def row_component(self, i: int) -> LinearCode:
         return LinearCode(self.tower, self.n, self._group_rows(i))
 
-    def column_block(self, j: int) -> List[List[int]]:
-        rows: List[List[int]] = []
-        for i in range(j + 1):
-            rows.extend(list(r) for r in self.block(i, j))
-        return rows
-
     def column_component(self, j: int) -> LinearCode:
-        rows = linalg.rref_nonzero(self.column_block(j), self.lengths[j], self.tower)
-        return LinearCode(self.tower, self.lengths[j], rows)
+        n_j = self.lengths[j]
+        rows = [row for i in range(j + 1) for row in self.block(i, j)]
+        return LinearCode(self.tower, n_j, linalg.rref_nonzero(rows, n_j, self.tower))
 
     def is_cartesian(self) -> bool:
         return all(all(all(x == 0 for x in row) for row in self.block(i, j))
@@ -291,37 +272,31 @@ def reducible(mains: Sequence[LinearCode], *, seed: int) -> Reduction:
     return Reduction(tower, lengths, dims, blocks)
 
 
-def dual_reduction(R: Reduction) -> _BlockRows:
-    """Structured dual: block-lower-triangular generator of C-perp whose
-    diagonal blocks generate the duals of the main components.
+def dual_reduction(R: Reduction) -> Reduction:
+    """C^⊥ as a reduction with the blocks in reverse order: block j of the
+    result is block l − 1 − j of R, and its main components are the duals
+    C_i^⊥ of R's.
 
-    Row group i has lengths[i] − dims[i] rows on column blocks 0..i, built
-    from the dual of main component i; the blocks to the left are
-    particular solutions peeled off one block column at a time.
+    The vectors of C^⊥ supported on blocks 0..i span Σ_{j<=i} (n_j − k_j)
+    dimensions, and their projection on block i is C_i^⊥.  So the RREF of
+    C^⊥ with its columns in reversed block order is block-upper-triangular
+    with groups of n_i − k_i rows, read off one echelon.  Reversing blocks
+    permutes coordinates over F_q, so no rank weight changes.  Each main
+    component is checked against the dual of R's, which comes from that
+    component's own kernel.
     """
-    tower = R.tower
-    l = R.l
-    minus_one = tower.neg(1)
-    blocks: Dict[Tuple[int, int], List[List[int]]] = {
-        (i, j): [] for i in range(l) for j in range(i + 1)}
+    tower, l = R.tower, R.l
+    order = [R.col_offset(i) + t for i in reversed(range(l)) for t in range(R.lengths[i])]
+    H = linalg.rref_nonzero([[row[c] for c in order] for row in R.code().dual().G], R.n, tower)
+    dims = [n_i - k_i for n_i, k_i in zip(R.lengths, R.dims)]
+    try:
+        D = Reduction.from_generator(tower, R.lengths[::-1], dims[::-1], H)
+    except ValueError as exc:
+        raise InvariantError(f"structured dual: {exc}") from None
     for i in range(l):
-        for v in R.main_component(i).dual().G:
-            parts: Dict[int, List[int]] = {i: list(v)}
-            for a in range(i - 1, -1, -1):
-                rhs = [0] * R.dims[a]
-                for j in range(a + 1, i + 1):
-                    contrib = linalg.mat_vec(R.block(a, j), parts[j], tower)
-                    rhs = tower.axpy(rhs, minus_one, contrib)
-                sol = linalg.solve_right(R.block(a, a), R.lengths[a], rhs, tower)
-                if sol is None:  # cannot happen: G_{a,a} has full row rank
-                    raise InvariantError("dual construction hit an inconsistent system")
-                parts[a] = sol
-            for j in range(i + 1):
-                blocks[(i, j)].append(parts[j])
-    out = _BlockRows(tower, R.lengths, [n_i - k_i for n_i, k_i in zip(R.lengths, R.dims)], blocks)
-    if not linalg.rowspace_equal(out.generator(), R.code().dual().G, R.n, tower):
-        raise InvariantError("structured dual does not match the kernel")
-    return out
+        if not D.main_component(l - 1 - i).equals(R.main_component(i).dual()):
+            raise InvariantError(f"structured dual: block {i} is not the dual of main component {i}")
+    return D
 
 
 @dataclass(frozen=True)

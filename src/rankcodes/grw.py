@@ -435,13 +435,15 @@ def mrd_rank_bounds(R: Reduction, budget: int = DEFAULT_BUDGET) -> MrdRankBounds
     """
     trivial = R.n - 1  # k - r(C) for the full space; valid whenever nothing binds
     # k - r(C') = d_1(C'-perp) - 2 for a component C' with dual codewords, and
-    # a nonzero dual block (i, j) adds d_1 of the code it generates
-    tower, lengths, D = R.tower, R.lengths, dual_reduction(R)
-    groups = [i for i in range(R.l) if R.dims[i] < lengths[i]]
+    # a nonzero block (i, j) of C-perp's reduction D (blocks reversed) adds
+    # d_1 of the code it generates
+    D = dual_reduction(R)
+    tower, lengths = D.tower, D.lengths
+    groups = [i for i in range(D.l) if D.dims[i]]
     cols = [c for c in map(R.column_component, range(R.l)) if c.k < c.n]
     blocks = [[LinearCode(tower, lengths[j], linalg.rref_nonzero(D.block(i, j), lengths[j], tower))
-               for j in range(i) if any(map(any, D.block(i, j)))] for i in groups]
-    codes = ([R.main_component(i).dual() for i in groups] + [c.dual() for c in cols]
+               for j in range(i + 1, D.l) if any(map(any, D.block(i, j)))] for i in groups]
+    codes = ([D.main_component(i) for i in groups] + [c.dual() for c in cols]
              + [b for row in blocks for b in row])
     d1 = iter([table[0] for table in _exact_tables(codes, budget)])
     main_terms = [next(d1) - 2 for _ in groups]

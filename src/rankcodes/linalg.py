@@ -115,16 +115,6 @@ def vec_mat(x: Sequence[int], rows: Sequence[Sequence[int]], ncols: int, tower) 
     return acc
 
 
-def mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int], tower) -> Row:
-    """Matrix times column vector: the columns of rows weighted by x."""
-    return vec_mat(x, transpose(rows, len(x)), len(rows), tower)
-
-
-def rowspace_equal(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],
-                   ncols: int, tower) -> bool:
-    return rref_nonzero(A, ncols, tower) == rref_nonzero(B, ncols, tower)
-
-
 def solve_right(M: Sequence[Sequence[int]], ncols: int, b: Sequence[int], tower) -> Optional[Row]:
     """One solution x of M x^T = b^T, or None when inconsistent."""
     if len(b) != len(M):

@@ -149,14 +149,21 @@ def test_contains_vector(f4):
             code.contains_vector(bad)
 
 
+def _reversed_dual(R):
+    """C^⊥ of a reduction with its columns in reversed block order."""
+    order = [R.col_offset(i) + t for i in reversed(range(R.l)) for t in range(R.lengths[i])]
+    return LinearCode(R.tower, R.n, [[row[c] for c in order] for row in R.code().dual().G])
+
+
 def test_structured_dual(f8):
     mains = [gabidulin(f8, 3, 1), gabidulin(f8, 2, 1), gabidulin(f8, 3, 2)]
     R = reducible(mains, seed=11)
     D = dual_reduction(R)
-    assert D.code().equals(R.code().dual())
+    assert isinstance(D, Reduction)
+    assert D.lengths == (3, 2, 3) and D.dims == (1, 1, 2)
+    assert D.code().equals(_reversed_dual(R))
     for i in range(3):
-        diag = [list(r) for r in D.block(i, i)]
-        assert linalg.rowspace_equal(diag, mains[i].dual().G, R.lengths[i], f8)
+        assert D.main_component(2 - i).equals(mains[i].dual())
 
 
 # -- the n > m MRD family -------------------------------------------------
@@ -402,14 +409,16 @@ def test_three_block_reduction_machinery(f8):
         assert min(min_closure(out.row_component(i), 1)[1] for i in range(3)) == d1
     R = reducible(mains, seed=9)
     D = dual_reduction(R)
-    assert D.code().equals(R.code().dual())
+    assert D.code().equals(_reversed_dual(R))
+    for i in range(3):
+        assert D.main_component(2 - i).equals(mains[i].dual())
 
 
 def test_dual_reduction_with_full_dimension_block(f4):
     R = reducible([gabidulin(f4, 2, 2), gabidulin(f4, 2, 1)], seed=3)
     D = dual_reduction(R)
-    assert [len(D.block(i, i)) for i in range(2)] == [0, 1]  # n_i − k_i rows
-    assert D.code().equals(R.code().dual())
+    assert D.dims == (1, 0)  # n_i − k_i rows, blocks reversed
+    assert D.code().equals(_reversed_dual(R))
 
 
 def test_constructed_codes_duality_invariants(f4, f8):

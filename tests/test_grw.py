@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from unittest import mock
@@ -10,7 +11,7 @@ from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
                        grw_report_exact, grw_table_exact, is_degenerate,
                        linalg, mrd_plan, mrd_rank, mrd_rank_bounds,
                        reducible, singleton_check)
-from rankcodes.codes import Reduction
+from rankcodes.codes import Reduction, dual_reduction
 from rankcodes.errors import InvariantError
 from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
 from rankcodes.rankmetric import GaloisClosedSpace, closure_dim, min_closure
@@ -282,6 +283,41 @@ def test_bounds_sandwich_random_reductions(R):
     for e, d in zip(rep.entries, table):
         assert e.lower <= d <= e.upper
         assert e.exact in (None, d)
+
+
+def _gabidulin_reductions():
+    """Every two-block reduction of Gabidulin mains over F_4, F_8 and F_9
+    and every three-block one over F_4, with seeds 0 and 1, leaving out
+    the whole space (no dual codewords): 462 reductions."""
+    for tower, l in ((FieldTower(2, 2), 2), (FieldTower(2, 3), 2), (FieldTower(3, 2), 2),
+                     (FieldTower(2, 2), 3)):
+        mains = [gabidulin(tower, n, k) for n in range(1, tower.m + 1) for k in range(n + 1)]
+        for combo in itertools.product(mains, repeat=l):
+            if any(c.k < c.n for c in combo):
+                for seed in (0, 1):
+                    yield reducible(combo, seed=seed)
+
+
+def test_reversed_dual_interval_contains_dual_table():
+    """The reversed dual is a reduction of C^⊥ like any other: its bound
+    interval holds C^⊥'s table, walked directly on C^⊥."""
+    codes = entries = 0
+    for R in _gabidulin_reductions():
+        dual = R.code().dual()
+        rep = grw_bounds_reducible(dual_reduction(R))
+        table = [min_closure(dual, r)[1] for r in range(1, dual.k + 1)]
+        assert [e.r for e in rep.entries] == list(range(1, dual.k + 1))
+        for e, d in zip(rep.entries, table):
+            assert e.lower <= d <= e.upper
+            assert e.exact in (None, d)
+        codes, entries = codes + 1, entries + len(table)
+    assert (codes, entries) == (462, 1120)
+
+
+def test_mrd_rank_bounds_grid():
+    for R in _gabidulin_reductions():
+        lo, hi = mrd_rank_bounds(R).interval
+        assert lo <= R.k - mrd_rank(R.code()) <= hi
 
 
 _CROSSED = """
