@@ -174,10 +174,11 @@ def product_characterization(parts: Sequence[LinearCode]) -> ProductCharacteriza
     The criterion is additive closures: the sum of the summands' closure
     dimensions must equal the closure dimension of the whole code.  When
     it does, the witness maps each summand's closure basis onto its own
-    canonical coordinate block.
+    canonical coordinate block.  No summands make the zero code, the
+    empty product: equivalent, with no witness.
     """
     if not parts:
-        raise ValueError("need at least one summand")
+        return ProductCharacterization(True, [], 0, 0, None, None)
     tower = parts[0].tower
     n = parts[0].n
     if any(c.tower != tower or c.n != n for c in parts):

@@ -12,8 +12,10 @@ as a tree of syndromes; for an MRD code the one dimension n − k decides
 every weight.  Both trees are the one walk of :func:`linalg.rank_leaves`:
 on the generator matrix over F_{q^m} with coordinate slices as items
 (packed into one int of F_p digits and reduced on it), or on Hᵀ over F_q
-with syndromes as items.  The oracles must agree; their enumeration costs
-differ by orders of magnitude depending on the parameters.
+with syndromes as items, whose leaf level is the first pivot row: its
+generators are reduced once per prefix and packed, so that a leaf is one
+packed addition.  The oracles must agree; their enumeration costs differ
+by orders of magnitude depending on the parameters.
 
 Either oracle may run on C or on its dual: by Wei duality the weights
 {d_r(C) : r <= k} and {n + 1 − d_s(C^⊥) : s <= n − k} split 1..n, so the
@@ -33,6 +35,7 @@ reach, not a count of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
@@ -127,12 +130,12 @@ class _Plan:
 def _plan(code: LinearCode, method: str) -> _Plan:
     """The cheapest of the subcode and closed walks on C and on C^⊥ (only
     ``method``'s two when it is not auto).  A tie goes to the subcode walk,
-    then to the closed walk on the side with fewer parity checks, whose
-    syndromes are narrower (V ↦ V^⊥ matches the leaves of the two sides),
-    and otherwise to C.  The price of C^⊥ needs no dual code:
-    its subcode walk is priced by n − k alone, and dim (C^⊥)* >= n − k is
-    read from the columns of Hᵀ only when the dual closed walk can still
-    win at that floor."""
+    then to the closed walk on the side with fewer parity checks (V ↦ V^⊥
+    matches the leaves of the two sides, each one packed addition, and the
+    prefixes eliminate on narrower syndromes), and otherwise to C.  The
+    price of C^⊥ needs no dual code: its subcode walk is priced by n − k
+    alone, and dim (C^⊥)* >= n − k is read from the columns of Hᵀ only
+    when the dual closed walk can still win at that floor."""
     n, k, tower = code.n, code.k, code.tower
     # sort keys: price, closed after subcodes, then parity checks, then C first
     keys = []
@@ -210,16 +213,15 @@ def _closed_space_table(code: LinearCode) -> List[int]:
     left it, so no candidate is visited twice and no dimension at or above
     dim C* is walked (see :func:`_closed_cost`).
 
-    Dimension d is walked by :func:`linalg.rank_leaves` on Hᵀ over F_q:
-    dim(C ∩ V) = d − rank(V·Hᵀ), so a prefix of syndrome rank ρ caps every
-    leaf below it at d − ρ, and the walk's least rank is f(d).
+    Dimension d is walked by :func:`linalg.rank_leaves` on Hᵀ over F_q
+    (:func:`_syndrome_kernel`): dim(C ∩ V) = d − rank(V·Hᵀ), so a prefix of
+    syndrome rank ρ caps every leaf below it at d − ρ, and the walk's least
+    rank is f(d).
     """
     k, top, tower = code.k, code.closure_dim, code.tower
     found = {top: k}  # d -> a value f(d) is known to reach
     walks: Dict[int, Iterator[int]] = {}
-    # plain syndrome rows: an image is its own one item, so no cap saves a row
-    kernel = (lambda row: row, lambda a, b: tower.axpy(a, 1, b), lambda syn: (syn,),
-              lambda echelon, rows, cap: linalg.extend_rows(tower, echelon, rows))
+    kernel = _syndrome_kernel(code)
 
     def reaches(d: int, s: int) -> bool:
         leaves = linalg.rank_leaves(tower, code.parity_t(), d, tower.p, kernel, [])
@@ -237,6 +239,31 @@ def _closed_space_table(code: LinearCode) -> List[int]:
             u -= 1
         table.append(u)
     return table
+
+
+def _syndrome_kernel(code: LinearCode) -> tuple:
+    """The :func:`linalg.rank_leaves` kernel of the closed walk on Hᵀ.
+
+    Above the leaf level an image is a plain syndrome row, its own one
+    item, inserted by :func:`linalg.extend_rows` (no cap saves a row).  At
+    the leaf level the row's base and free generators are reduced once per
+    prefix (:func:`linalg._reduce`, which is linear) and packed, so a
+    leaf's reduced image is one packed addition, and its rank is the
+    echelon's length plus one when that image is nonzero.
+    """
+    tower = code.tower
+    pack, add = rankmetric._row_packer(tower, code.n - code.k)
+
+    def leaf(echelon: list, base: list, gens: list) -> Iterator[int]:
+        images = [pack(linalg._reduce(tower, echelon, base))]
+        for row in gens:
+            unit = pack(linalg._reduce(tower, echelon, row))
+            steps = list(accumulate(repeat(unit, tower.p - 1), add, initial=0))
+            images = [add(s, t) for s in images for t in steps]
+        return map(len(echelon).__add__, map(bool, images))
+
+    return (lambda row: row, lambda a, b: tower.axpy(a, 1, b), lambda syn: (syn,),
+            lambda echelon, rows, cap: linalg.extend_rows(tower, echelon, rows), leaf)
 
 
 def singleton_max_d1(m: int, n: int, k: int) -> int:

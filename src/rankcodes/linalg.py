@@ -16,9 +16,11 @@ Both GRW oracles meet the subspaces in the same order as a tree instead
 (:func:`rank_leaves`): a prefix of basis rows fixes the rank of their images
 under one matrix, which every extension shares and can only grow.
 :func:`extend_rows` is the one elimination loop over the tower: the closed
-walk inserts its syndromes with it, :func:`rank` is the length of its
-echelon and :func:`rref` finishes that echelon.  The subcode walk reduces
-packed digits instead (:func:`rankmetric._walk_kernel`).
+walk inserts its syndromes with it above the leaf level and reduces each
+leaf row's generators with its :func:`_reduce`, once per prefix;
+:func:`rank` is the length of its echelon and :func:`rref` finishes that
+echelon.  The subcode walk reduces packed digits instead
+(:func:`rankmetric._walk_kernel`).
 
 Membership in a code and dim(C ∩ V) are not computed here by stacking
 rows: :class:`~rankcodes.codes.LinearCode` answers both from its cached
@@ -263,23 +265,32 @@ def extend_rows(tower, echelon: list, rows: Sequence[Sequence[int]]) -> list:
     The echelon is a list of (pivot, row, factor) triples: each row is
     nonzero at its pivot and 0 at the pivots before it, so the length of
     the list is the rank of the span, and factor is −1/row[pivot].  Each
-    new row is reduced against every triple before it and appended when
-    nonzero.  No row is scaled to a leading 1, which would cost a new row
-    per insertion.  Neither argument is changed; the result is a new list
-    unless nothing is added.  This is the one elimination loop over the
-    tower: :func:`rank` is the length of its echelon and :func:`rref`
-    finishes it.
+    new row is reduced against every triple before it (:func:`_reduce`)
+    and appended when nonzero.  No row is scaled to a leading 1, which
+    would cost a new row per insertion.  Neither argument is changed; the
+    result is a new list unless nothing is added.  This is the one
+    elimination loop over the tower: :func:`rank` is the length of its
+    echelon, :func:`rref` finishes it, and the closed walk's leaves reduce
+    their rows with its :func:`_reduce`.
     """
     out = echelon
     for s in rows:
-        for c, e, f in out:
-            if s[c]:
-                s = tower.axpy(s, tower.mul(s[c], f), e)
+        s = _reduce(tower, out, s)
         for c, x in enumerate(s):
             if x:
                 out = out + [(c, s, tower.neg(tower.inv(x)))]
                 break
     return out
+
+
+def _reduce(tower, echelon: list, row: Sequence[int]) -> Sequence[int]:
+    """``row`` reduced against every triple of an :func:`extend_rows`
+    echelon in order: a linear map of ``row``, 0 at every pivot, so 0
+    exactly when ``row`` lies in the span of the echelon."""
+    for c, e, f in echelon:
+        if row[c]:
+            row = tower.axpy(row, tower.mul(row[c], f), e)
+    return row
 
 
 def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
@@ -289,57 +300,70 @@ def rank_leaves(tower, M: Sequence[Sequence[int]], d: int, order: int,
     rank tree, skipping every subtree that cannot go below the least rank
     yielded so far.  Exhausting it therefore reaches the least rank.
 
-    V runs over the RREF bases in the order of :func:`subspace_bases`.  Row
-    i of a pivot template is e_{p_i} plus a combination of its free
-    columns, so its image is M[p_i] + Σ v_j M[j].  With ``kernel`` =
-    (pack, add, item, extend), the images of each row are formed once per
-    template, free values in lexicographic order, from ``pack(M[p_i])`` by
-    one ``add`` per free column of a multiple ``pack(v·M[j])``
-    (:func:`_multiples`, built on first use), and each is kept as
-    ``item(image)``.  The walk is depth first over the rows: each level
-    inserts one item into its prefix's echelon with ``extend(echelon,
-    item, cap)``, and a prefix whose echelon already reaches the least
-    rank found has no lower leaf below it, because the echelon only grows.
-    At each new least rank ``least`` is set to [basis of V, rank].
+    V runs over the RREF bases of :func:`subspace_bases`, template by
+    template.  Row i of a pivot template is e_{p_i} plus a combination of
+    its free columns, so its image is M[p_i] + Σ v_j M[j].  With
+    ``kernel`` = (pack, add, item, extend, leaf), the images of each row
+    are formed once per template, free values in lexicographic order, from
+    ``pack(M[p_i])`` by one ``add`` per free column of a multiple
+    ``pack(v·M[j])`` (:func:`_multiples`, built on first use), and each is
+    kept as ``item(image)``.  The walk is depth first over the rows: each
+    level inserts one item into its prefix's echelon with
+    ``extend(echelon, item, cap)``, and a prefix whose echelon already
+    reaches the least rank found has no lower leaf below it, because the
+    echelon only grows.  At each new least rank ``least`` is set to
+    [basis of V, rank].
 
-    The cap is that least rank: ``extend`` must return the whole echelon
-    while its length stays below the cap, and may stop inserting once the
-    length reaches it.  A prefix or leaf at or above the least rank is
-    discarded either way, so the cap changes no leaf that is reached.  A
-    leaf therefore yields its exact rank when that rank is below the least
-    rank found before it, and otherwise some value at or above that least
-    rank.
+    With ``leaf`` None the rows are walked in pivot order (the order of
+    :func:`subspace_bases`) and each leaf is one more insertion, capped at
+    the least rank: ``extend`` must return the whole echelon while its
+    length stays below the cap, and may stop inserting once it reaches
+    it.  A prefix or leaf at or above the least rank is discarded either
+    way, so a leaf yields its exact rank when that is below the least rank
+    found before it, and otherwise some value at or above it.
+
+    Otherwise ``leaf(echelon, M[p], [M[j] for the free j])`` gives the
+    exact ranks of the leaves under a prefix, in the order of their free
+    values, and the rows are walked from the last pivot to the first, so
+    that the leaf level is the row with the most free columns.
     """
     n, best, multiples = len(M), sys.maxsize, {}
-    pack, add, item, extend = kernel
+    pack, add, item, extend, leaf = kernel
+    step = -1 if leaf else 1
 
-    def below(rows: list, echelon: list, path: tuple) -> Iterator[int]:
+    def images(p: int, free: list) -> list:
+        out = [pack(M[p])]
+        for j in free:
+            if j not in multiples:
+                multiples[j] = _multiples(tower, M[j], order, pack, add)
+            out = [add(s, t) for s in out for t in multiples[j]]
+        return [item(s) for s in out]
+
+    def below(levels: list, echelon: list, path: tuple) -> Iterator[int]:
         nonlocal best
-        if len(rows) == 1:
-            for idx, x in enumerate(rows[0]):
-                rank = len(extend(echelon, x, best))
+        if len(levels) == 1:
+            # x is a leaf's rank from the leaf kernel, or else an item to insert
+            for idx, x in enumerate(leaf(echelon, *levels[0]) if leaf else levels[0]):
+                rank = x if leaf else len(extend(echelon, x, best))
                 if rank < best:
                     best = rank
-                    least[:] = [_template_basis(n, order, pivots, path + (idx,)), rank]
+                    basis = _template_basis(n, order, walked, path + (idx,))
+                    least[:] = [basis[::step], rank]
                 yield rank
             return
-        rest = rows[1:]
-        for idx, x in enumerate(rows[0]):
+        rest = levels[1:]
+        for idx, x in enumerate(levels[0]):
             ext = extend(echelon, x, best)
             if len(ext) < best:
                 yield from below(rest, ext, path + (idx,))
 
     for pivots in itertools.combinations(range(n), d):
-        rows = []
-        for p in pivots:
-            images = [pack(M[p])]
-            for j in range(p + 1, n):
-                if j not in pivots:
-                    if j not in multiples:
-                        multiples[j] = _multiples(tower, M[j], order, pack, add)
-                    images = [add(s, t) for s in images for t in multiples[j]]
-            rows.append([item(s) for s in images])
-        yield from below(rows, [], ())
+        walked = pivots[::step]
+        free = [[j for j in range(p + 1, n) if j not in pivots] for p in walked]
+        levels = [images(p, f) for p, f in zip(walked[:-1], free)]
+        last = walked[-1]
+        levels.append((M[last], [M[j] for j in free[-1]]) if leaf else images(last, free[-1]))
+        yield from below(levels, [], ())
 
 
 def _multiples(tower, row: Sequence[int], order: int, pack: Callable, add: Callable) -> list:

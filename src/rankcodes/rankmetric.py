@@ -19,9 +19,10 @@ so those of a sum are one packed addition: XOR over F_2, and for odd p an
 integer sum that subtracts p from every digit that reached it.  Slices are
 reduced on the packed digits too: by XOR over F_2, and for odd p by adding
 a precomputed multiple of each echelon row.  This choice of kernel
-(:func:`_digit_ops`, :func:`_walk_kernel`) is the only place outside the
-field where the characteristic changes the code path; the joint leakage
-enumeration packs and adds its images with the same digits.
+(:func:`_digit_ops`, :func:`_walk_kernel`, :func:`_row_packer`) is the only
+place outside the field where the characteristic changes the code path;
+the joint leakage enumeration packs and adds its images with the same
+digits, and the closed walk its reduced syndromes.
 
 The subcode oracle :func:`min_closure` is the rank-tree walk of
 :func:`linalg.rank_leaves` on the generator matrix, with the slices of each
@@ -184,6 +185,19 @@ def _walk_kernel(tower, n: int) -> tuple:
     return functools.partial(_pack, p, n, w), add, item, extend
 
 
+def _row_packer(tower, n: int) -> tuple:
+    """(pack, add) for rows of n codes whose packings are only added and
+    tested for zero, so that any layout will do.  Over F_2 the m bits of a
+    code are its digits, and entry j is shifted up by j·m bits; for odd p
+    a row is packed by :func:`_pack` and added as :func:`_digit_ops` says."""
+    p, m = tower.p, tower.m
+    if p == 2:
+        shifts = range(0, n * m, m)
+        return lambda row: sum(map(operator.lshift, row, shifts)), operator.xor
+    w, add = _digit_ops(p, m * n)
+    return functools.partial(_pack, p, n, w), add
+
+
 def closure_dim(tower, rows: Sequence[Sequence[int]], ncols: int) -> int:
     """dim(D*) for D the row space: the F_q rank of the coordinate slices
     of the rows, which is the rank weight of D.  The cap ncols + 1 is above
@@ -209,7 +223,7 @@ def min_closure(code, r: int) -> Tuple[List[List[int]], int]:
     message coordinate.
     """
     tower, least = code.tower, []
-    kernel = _walk_kernel(tower, code.n)
+    kernel = _walk_kernel(tower, code.n) + (None,)
     for w in linalg.rank_leaves(tower, code.G, r, tower.order, kernel, least):
         if w == r:
             break

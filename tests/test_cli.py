@@ -176,6 +176,16 @@ def test_equiv_product_test(tmp_path, capsys):
     assert rc == 0 and out.strip() == "product=true"
 
 
+def test_zero_reduction_is_the_empty_product(tmp_path, capsys):
+    """A reduction whose every k_i = 0 is the zero code, the empty product:
+    both product commands say so and exit 0."""
+    path = tmp_path / "zero.code"
+    path.write_text("field p=2 m=2 modulus=1,1,1\ncode n=3 k=0\nblocks n=1,2 k=0,0\n")
+    assert run(capsys, "check", "product", "--input", str(path)) == (0, "product=true\n", "")
+    assert run(capsys, "equiv", "product-test", "--input", str(path)) == (
+        0, "equivalent_to_product=true deficiency=0\n", "")
+
+
 def test_wiretap_flow(tmp_path, capsys):
     opt = str(tmp_path / "opt.code")
     run(capsys, "construct", "opt", "--p", "2", "--m", "2", "--k", "2", "-o", opt)

@@ -124,6 +124,26 @@ def test_walks_reach_pinned_leaf_counts(enumerated):
         assert len(enumerated) == leaves, (p, m, n, k)
 
 
+def test_closed_walk_pins_its_field_work(monkeypatch):
+    """The field work of two closed-walk tables, which no machine changes:
+    the calls of FieldTower.axpy and of linalg.extend_rows.  Rows are
+    reduced once per prefix of the leaf level and a leaf costs one packed
+    addition, so a walk that inserted each leaf's syndrome by elimination
+    again (11,811 and 1,395 leaves) would make far more calls."""
+    calls = {"axpy": 0, "extend_rows": 0}
+    for owner, name in [(FieldTower, "axpy"), (linalg, "extend_rows")]:
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    for (p, m, n, k), tag, axpy, extend in [((2, 7, 7, 3), "oracle-closed-space-dual", 8129, 951),
+                                            ((2, 6, 6, 3), "oracle-closed-space", 1529, 242)]:
+        code = gabidulin(FieldTower(p, m), n, k)
+        calls.update(axpy=0, extend_rows=0)
+        assert grw_table_exact(code)[1] == tag
+        assert calls == {"axpy": axpy, "extend_rows": extend}, (p, m, n, k)
+
+
 def test_dual_routes_reach_pinned_leaf_counts(enumerated):
     """The leaves of the tables that run on C^⊥, with the tag that says so:
     each Gabidulin code of the closed_scan benchmark whose plan takes the
@@ -177,6 +197,35 @@ def test_closed_scan_matches_reference(code):
     with mock.patch.object(linalg, "rank_leaves", counted):
         assert grw_mod._closed_space_table(code) == closed_space_table_reference(code)
         assert len(leaves) <= grw_mod._closed_cost(code)
+
+
+@settings(max_examples=30, deadline=None)
+@given(closed_scan_code(), st.booleans())
+def test_closed_walk_leaves_match_plain_scan(code, dual):
+    """The closed walk's leaf level against a plain scan, on C or on C^⊥:
+    for every d, exhausting the walk gives the least rank(V·Hᵀ) over the
+    d-dimensional F_q RREF bases V, the basis it records is one in pivot
+    order that attains that rank, and it reaches at most [n d]_q leaves."""
+    side = code.dual() if dual else code
+    t, n, Ht = side.tower, side.n, side.parity_t()
+    width, syndromes = n - side.k, {}
+
+    def rank_of(basis):
+        for v in map(tuple, basis):
+            if v not in syndromes:
+                syndromes[v] = linalg.vec_mat(v, Ht, width, t)
+        return linalg.rank([syndromes[tuple(v)] for v in basis], width, t)
+
+    kernel = grw_mod._syndrome_kernel(side)
+    for d in range(1, n + 1):
+        least = []
+        ranks = list(linalg.rank_leaves(t, Ht, d, t.p, kernel, least))
+        expected = min(map(rank_of, linalg.subspace_bases(n, d, range(t.p))))
+        assert least[1] == min(ranks) == expected, d
+        basis = least[0]
+        assert len(basis) == d and linalg.rref_nonzero(basis, n, t) == basis
+        assert rank_of(basis) == expected
+        assert len(ranks) <= linalg.gaussian_binomial(n, d, t.p)
 
 
 def test_wei_complement_needs_k_members():
