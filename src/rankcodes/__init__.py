@@ -23,9 +23,8 @@ _EXPORTS = {
               "exact_reduction_for_d1", "format_code_file", "gabidulin", "mrd_plan",
               "parse_code_file", "plotkin_variant", "reducible", "transform_reduction",
               "transposed_gabidulin"),
-    "grw": ("GrwReport", "dual_grw_upper",
-            "grw_bounds_reducible", "grw_estimates_mrd", "grw_report_exact", "grw_table_exact",
-            "is_degenerate", "mrd_rank", "mrd_rank_bounds", "singleton_check"),
+    "grw": ("GrwReport", "grw_bounds_reducible", "grw_estimates_mrd", "grw_report_exact",
+            "grw_table_exact", "is_degenerate", "mrd_rank", "mrd_rank_bounds", "singleton_check"),
     "equivalence": ("RankEquivalenceMap", "exact_product_test", "product_characterization",
                     "to_c_opt"),
     "wiretap": ("LeakageReport", "composition_search", "leakage_exact"),

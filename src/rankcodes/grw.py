@@ -440,44 +440,20 @@ def mrd_rank(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     return mrd_rank_from_table(_run(code, plan)[0], n, k)
 
 
-@dataclass
-class MrdRankBounds:
-    lower: int
-    upper_columns: int
-    upper_dual_blocks: int
+def mrd_rank_bounds(R: Reduction, budget: int = DEFAULT_BUDGET) -> Tuple[int, int]:
+    """Interval (lower, upper) for k − r(C), r(C) the MRD rank of a
+    reducible code.
 
-    @property
-    def interval(self) -> Tuple[int, int]:
-        return self.lower, min(self.upper_columns, self.upper_dual_blocks)
-
-
-def mrd_rank_bounds(R: Reduction, budget: int = DEFAULT_BUDGET) -> MrdRankBounds:
-    """Bounds on k - r(C) for a reducible code: from the main components
-    below, from the column components and the dual blocks above.
-
-    Components of full dimension contribute no dual codewords, so they are
-    excluded from every minimum (the n+1 convention for the zero code does
-    not compose across blocks); when every component is full the code is
-    the whole space and k - r(C) = n - 1 exactly.
+    k − r(C) = d_1(C^⊥) − 2, and the reversed dual
+    (:func:`codes.dual_reduction`) is a reduction of C^⊥, so the r = 1
+    entry of its bounds (:func:`grw_bounds_reducible`) holds d_1(C^⊥).
+    The whole space has no dual codewords: its d_1(C^⊥) is n + 1 by
+    convention, so k − r(C) = n − 1 exactly.
     """
-    trivial = R.n - 1  # k - r(C) for the full space; valid whenever nothing binds
-    # k - r(C') = d_1(C'-perp) - 2 for a component C' with dual codewords, and
-    # a nonzero block (i, j) of C-perp's reduction D (blocks reversed) adds
-    # d_1 of the code it generates
-    D = dual_reduction(R)
-    tower, lengths = D.tower, D.lengths
-    groups = [i for i in range(D.l) if D.dims[i]]
-    cols = [c for c in map(R.column_component, range(R.l)) if c.k < c.n]
-    blocks = [[LinearCode(tower, lengths[j], linalg.rref_nonzero(D.block(i, j), lengths[j], tower))
-               for j in range(i + 1, D.l) if any(map(any, D.block(i, j)))] for i in groups]
-    codes = ([D.main_component(i) for i in groups] + [c.dual() for c in cols]
-             + [b for row in blocks for b in row])
-    d1 = iter([table[0] for table in _exact_tables(codes, budget)])
-    main_terms = [next(d1) - 2 for _ in groups]
-    col_terms = [next(d1) - 2 for _ in cols]
-    block_terms = [term + sum(next(d1) for _ in row) for term, row in zip(main_terms, blocks)]
-    return MrdRankBounds(min(main_terms, default=trivial), min(col_terms, default=trivial),
-                         min(block_terms, default=trivial))
+    if R.k == R.n:
+        return R.n - 1, R.n - 1
+    first = grw_bounds_reducible(dual_reduction(R), budget).entries[0]
+    return first.lower - 2, first.upper - 2
 
 
 def is_degenerate(code: LinearCode) -> bool:
@@ -502,22 +478,9 @@ class DegeneracyReport:
 def degeneracy_report(R: Reduction) -> DegeneracyReport:
     report = DegeneracyReport(
         code_degenerate=is_degenerate(R.code()),
-        main_degenerate=[is_degenerate(R.main_component(i)) if R.dims[i] else False
-                         for i in range(R.l)],
-        column_degenerate=[is_degenerate(R.column_component(j)) if R.column_component(j).k else False
-                           for j in range(R.l)],
+        main_degenerate=[is_degenerate(R.main_component(i)) for i in range(R.l)],
+        column_degenerate=[is_degenerate(R.column_component(j)) for j in range(R.l)],
     )
     report.check_implications()
     return report
 
-
-def dual_grw_upper(R: Reduction, budget: int = DEFAULT_BUDGET) -> List[int]:
-    """Upper bounds on the dual code's weights via the column components:
-    min-plus over the duals of the column components, for
-    r = 1 .. n - k_hat.  Empty when the column components fill the code."""
-    khat = sum(R.column_component(j).k for j in range(R.l))
-    if khat == R.n:
-        return []
-    tables = _exact_tables([R.column_component(j).dual() for j in range(R.l)], budget)
-    vals = minplus(tables, R.n - khat)
-    return vals[1:]

@@ -111,13 +111,6 @@ def _image_counts(tower, cols: Sequence[Sequence[int]], k: int) -> Tuple[Counter
     return Counter(grow(images, cols[-1])), shift
 
 
-def _marginal(joint: Counter, part) -> Counter:
-    out: Counter = Counter()
-    for key, cnt in joint.items():
-        out[part(key)] += cnt
-    return out
-
-
 def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
                               budget: int = JOINT_BUDGET) -> Fraction:
     """Mutual information between the message and the observation, by
@@ -146,8 +139,11 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     cols = linalg.transpose(list(code.G) + list(B_rows), n)
     joint, shift = _image_counts(tower, cols, k)
     mask = (1 << shift) - 1
-    s_count = _marginal(joint, lambda key: key & mask)
-    w_count = _marginal(joint, lambda key: key >> shift)
+    s_count: Counter = Counter()
+    w_count: Counter = Counter()
+    for key, cnt in joint.items():
+        s_count[key & mask] += cnt
+        w_count[key >> shift] += cnt
     counts = {atoms}.union(joint.values(), s_count.values(), w_count.values())
     logs = {c: _int_log(c, tower.p) for c in counts}
 

@@ -11,12 +11,12 @@ import time
 import pytest
 
 from rankcodes import (FieldTower, LinearCode, build_c_opt, build_mrd_reducible,
-                       cartesian, composition_search, dual_grw_upper, gabidulin,
+                       cartesian, composition_search, gabidulin,
                        grw_bounds_reducible, grw_estimates_mrd,
                        grw_table_exact, leakage_exact, linalg, mrd_plan,
                        mrd_rank, plotkin_variant, product_characterization,
                        reducible, singleton_check, to_c_opt)
-from rankcodes.codes import random_block_transform, transform_reduction, exact_reduction_for_d1
+from rankcodes.codes import dual_reduction, random_block_transform, transform_reduction, exact_reduction_for_d1
 from rankcodes import grw as grw_mod
 from rankcodes.grw import mrd_rank_from_table
 from rankcodes.rankmetric import GaloisClosedSpace, min_closure
@@ -179,9 +179,11 @@ def test_criterion_10_duality(corpus4):
         assert grw_table_exact(code)[0] == exact
         d1_dual = dual_exact[0] if dual.k else code.n + 1
         assert mrd_rank(code) == mrd_rank_from_table(exact, code.n, code.k) == code.k - d1_dual + 2
-        bound = dual_grw_upper(R)
-        for b, d in zip(bound, dual_exact):
-            assert b >= d
+        # the reversed dual's interval holds C^⊥'s table
+        entries = grw_bounds_reducible(dual_reduction(R)).entries
+        assert [e.r for e in entries] == list(range(1, dual.k + 1))
+        for e, d in zip(entries, dual_exact):
+            assert e.lower <= d <= e.upper
         # Wei duality: {d_r(C)} and {n+1-d_r(C-perp)} split 1..n
         assert sorted(exact + [code.n + 1 - d for d in dual_exact]) == list(range(1, code.n + 1))
 

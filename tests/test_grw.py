@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
-                       build_c_opt, cartesian, composition_search, dual_grw_upper, gabidulin, grw_bounds_reducible, grw_estimates_mrd,
+                       build_c_opt, cartesian, composition_search, gabidulin, grw_bounds_reducible, grw_estimates_mrd,
                        grw_report_exact, grw_table_exact, is_degenerate,
                        linalg, mrd_plan, mrd_rank, mrd_rank_bounds,
                        reducible, singleton_check)
 from rankcodes.codes import Reduction, dual_reduction
 from rankcodes.errors import InvariantError
-from rankcodes.grw import minplus, mrd_rank_from_table, singleton_max_d1
+from rankcodes.grw import degeneracy_report, minplus, mrd_rank_from_table, singleton_max_d1
 from rankcodes.rankmetric import GaloisClosedSpace, closure_dim, min_closure
 from rankcodes import codes as codes_mod, grw as grw_mod
 
@@ -325,26 +325,43 @@ def random_reduction(draw):
 @given(random_reduction())
 def test_bounds_sandwich_random_reductions(R):
     """Both oracles give the same table, and it lies between the lower and
-    upper bounds of every entry; an entry the bounds decide is that weight."""
-    rep = grw_bounds_reducible(R)
-    table, _ = grw_table_exact(R.code(), method="subcodes")
-    assert grw_table_exact(R.code(), method="closed")[0] == table
-    for e, d in zip(rep.entries, table):
-        assert e.lower <= d <= e.upper
-        assert e.exact in (None, d)
+    upper bounds of every entry; an entry the bounds decide is that weight.
+    The same holds for C^⊥ and the reversed dual's bounds, the MRD-rank
+    interval holds k − r(C), and each degeneracy flag is its component's."""
+    code, dual = R.code(), R.code().dual()
+    table, _ = grw_table_exact(code, method="subcodes")
+    assert grw_table_exact(code, method="closed")[0] == table
+    dual_table = [min_closure(dual, r)[1] for r in range(1, dual.k + 1)]
+    for rep, weights in ((grw_bounds_reducible(R), table),
+                         (grw_bounds_reducible(dual_reduction(R)), dual_table)):
+        assert len(rep.entries) == len(weights)
+        for e, d in zip(rep.entries, weights):
+            assert e.lower <= d <= e.upper
+            assert e.exact in (None, d)
+    lo, hi = mrd_rank_bounds(R)
+    assert lo <= R.k - mrd_rank(code) <= hi
+    flags = degeneracy_report(R)
+    assert flags.code_degenerate == is_degenerate(code)
+    assert flags.main_degenerate == [is_degenerate(R.main_component(i)) for i in range(R.l)]
+    assert flags.column_degenerate == [is_degenerate(R.column_component(j)) for j in range(R.l)]
+
+
+def _gabidulin_grid(tower, l):
+    """Every l-block reduction of Gabidulin mains over ``tower``, with seeds
+    0 and 1, leaving out the whole space (no dual codewords)."""
+    mains = [gabidulin(tower, n, k) for n in range(1, tower.m + 1) for k in range(n + 1)]
+    for combo in itertools.product(mains, repeat=l):
+        if any(c.k < c.n for c in combo):
+            for seed in (0, 1):
+                yield reducible(combo, seed=seed)
 
 
 def _gabidulin_reductions():
     """Every two-block reduction of Gabidulin mains over F_4, F_8 and F_9
-    and every three-block one over F_4, with seeds 0 and 1, leaving out
-    the whole space (no dual codewords): 462 reductions."""
+    and every three-block one over F_4: 462 reductions."""
     for tower, l in ((FieldTower(2, 2), 2), (FieldTower(2, 3), 2), (FieldTower(3, 2), 2),
                      (FieldTower(2, 2), 3)):
-        mains = [gabidulin(tower, n, k) for n in range(1, tower.m + 1) for k in range(n + 1)]
-        for combo in itertools.product(mains, repeat=l):
-            if any(c.k < c.n for c in combo):
-                for seed in (0, 1):
-                    yield reducible(combo, seed=seed)
+        yield from _gabidulin_grid(tower, l)
 
 
 def test_reversed_dual_interval_contains_dual_table():
@@ -364,9 +381,15 @@ def test_reversed_dual_interval_contains_dual_table():
 
 
 def test_mrd_rank_bounds_grid():
-    for R in _gabidulin_reductions():
-        lo, hi = mrd_rank_bounds(R).interval
+    """The interval holds k − r(C) on the 462 reductions and on the 360
+    two-block ones over F_16, where rank weights reach 4: there a bound
+    that adds the first weights of separate blocks of C^⊥ fell below it."""
+    count = 0
+    for R in itertools.chain(_gabidulin_reductions(), _gabidulin_grid(FieldTower(2, 4), 2)):
+        lo, hi = mrd_rank_bounds(R)
         assert lo <= R.k - mrd_rank(R.code()) <= hi
+        count += 1
+    assert count == 462 + 360
 
 
 _CROSSED = """
@@ -492,20 +515,22 @@ def test_mrd_rank_bounds(f4, f8):
     # cartesian of Gabidulin codes: equality everywhere
     mains = [gabidulin(f8, 3, 2), gabidulin(f8, 2, 1)]
     R = cartesian(mains)
-    b = mrd_rank_bounds(R)
     expect = min(c.k - mrd_rank(c) for c in mains)
-    assert b.lower == b.upper_columns == b.upper_dual_blocks == expect
+    assert mrd_rank_bounds(R) == (expect, expect)
     assert R.k - mrd_rank(R.code()) == expect
-    # single block: everything equals k_1 - r(C_1)
+    # single block: both ends equal k_1 - r(C_1)
     R1 = cartesian([gabidulin(f4, 2, 1)])
-    b1 = mrd_rank_bounds(R1)
-    assert b1.lower == b1.upper_columns == b1.upper_dual_blocks
+    assert mrd_rank_bounds(R1) == (R1.k - mrd_rank(R1.code()),) * 2
     # coupled example instance: interval contains the exact value
     R2 = reducible(mains, seed=21)
-    b2 = mrd_rank_bounds(R2)
-    actual = R2.k - mrd_rank(R2.code())
-    lo, hi = b2.interval
-    assert lo <= actual <= hi
+    lo, hi = mrd_rank_bounds(R2)
+    assert lo <= R2.k - mrd_rank(R2.code()) <= hi
+    # d_1(C^⊥) = 3, above the sum of the first weights of C^⊥'s blocks (2):
+    # those weights come from different codewords, so their sum bounds nothing
+    f16 = FieldTower(2, 4)
+    R3 = reducible([gabidulin(f16, 4, 4), gabidulin(f16, 3, 0)], seed=1)
+    assert R3.k - mrd_rank(R3.code()) == 1
+    assert mrd_rank_bounds(R3) == (-1, 1)
 
 
 def test_mrd_rank_bounds_full_dimension_blocks(f4, f8):
@@ -513,14 +538,12 @@ def test_mrd_rank_bounds_full_dimension_blocks(f4, f8):
     # skip them and still collapse to equality on cartesian input
     point = gabidulin(f4, 1, 1, points=[1])
     R = cartesian([point, gabidulin(f4, 2, 2)])  # the whole space F_4^3
-    b = mrd_rank_bounds(R)
     actual = R.k - mrd_rank(R.code())
-    assert b.interval == (actual, actual) == (R.n - 1, R.n - 1)
+    assert mrd_rank_bounds(R) == (actual, actual) == (R.n - 1, R.n - 1)
     point8 = gabidulin(f8, 1, 1, points=[1])
     R2 = cartesian([point8, gabidulin(f8, 3, 2)])  # mixed full / non-full
-    b2 = mrd_rank_bounds(R2)
     actual2 = R2.k - mrd_rank(R2.code())
-    assert b2.interval[0] == b2.interval[1] == actual2
+    assert mrd_rank_bounds(R2) == (actual2, actual2)
 
 
 # -- degeneracy --------------------------------------------------------------------
@@ -533,39 +556,20 @@ def test_degeneracy_examples(f4):
 def test_degeneracy_cartesian_iff(f4):
     good = gabidulin(f4, 2, 1)
     bad = LinearCode(f4, 2, [[1, 1]])
-    from rankcodes.grw import degeneracy_report
     rep = degeneracy_report(cartesian([good, bad]))
     assert rep.code_degenerate and rep.main_degenerate == [False, True]
     rep2 = degeneracy_report(cartesian([good, good]))
     assert not rep2.code_degenerate
 
 
-# -- dual bounds ---------------------------------------------------------------------
-
-def test_dual_grw_upper_cartesian_equality(f4):
-    mains = [gabidulin(f4, 2, 1), gabidulin(f4, 2, 1)]
-    R = cartesian(mains)
-    bound = dual_grw_upper(R)
-    exact, _ = grw_table_exact(R.code().dual())
-    assert bound == exact
-
-
-def test_dual_grw_upper_dominates_exact(f8):
-    c1 = gabidulin(f8, 2, 1)
-    c2 = gabidulin(f8, 3, 2)
-    for seed in range(4):
-        R = reducible([c1, c2], seed=seed)
-        bound = dual_grw_upper(R)
-        exact, _ = grw_table_exact(R.code().dual())
-        assert len(bound) <= len(exact)
-        for b, d in zip(bound, exact):
-            assert b >= d
-
-
-def test_dual_grw_upper_empty_when_columns_fill(f4):
-    # coupling rows outside the main component push k_hat to n
-    R = cartesian([gabidulin(f4, 2, 2), gabidulin(f4, 2, 2)])
-    assert dual_grw_upper(R) == []
+def test_degeneracy_report_zero_dimension_block(f4):
+    # a zero main component of positive length is degenerate, and so is the
+    # code, which is zero on that block's coordinates
+    R = reducible([gabidulin(f4, 2, 0), gabidulin(f4, 2, 2)], seed=0)
+    rep = degeneracy_report(R)
+    assert rep.code_degenerate and is_degenerate(R.code())
+    assert rep.main_degenerate == [True, False]
+    assert rep.column_degenerate == [True, False]
 
 
 # -- block decomposition ----------------------------------------------------------------
