@@ -6,11 +6,11 @@ over F_q.  The leaked information, in packets (logarithms base q^m), is
 exactly the dimension of the code's intersection with the row space of B.
 
 :func:`leakage_joint_enumeration` reproduces that number without the
-formula: it counts the joint distribution of (message, observation) over
-every atom c, the images c·[G^T | B^T] formed one from another by one
-addition each of packed F_p digits, with the subcode walk's packing and
-addition for every p, and compares the mutual information with
-:func:`leakage_exact`.
+formula: it forms the distinct images c·[G^T | B^T], c·G^T and c·B^T one
+coordinate at a time, as packed F_p digits with the subcode walk's packing
+and addition for every p, checks that each layer counts every image
+equally often, and compares the mutual information these common counts
+give with :func:`leakage_exact`.
 
 Wiretap matrices live over the base field; entries outside F_q are a hard
 error, never coerced.
@@ -81,34 +81,35 @@ def _int_log(value: int, q: int) -> int:
     return e
 
 
-def _image_counts(tower, cols: Sequence[Sequence[int]], k: int) -> Tuple[Counter, int]:
-    """How often each image c·[Gᵀ | Bᵀ] occurs over all c, and the shift
-    that splits an image into its message (low bits) and observation.
+def _fibre(tower, cols: Sequence[Sequence[int]]) -> int:
+    """How many c in F_{q^m}^n give each image c·M, M having the n rows
+    ``cols``, one per coordinate; checked to be one common count.
 
-    ``cols`` holds the rows of [Gᵀ | Bᵀ], one per coordinate.  An image is
-    one int of packed F_p digits, added by :func:`rankmetric._digit_ops`:
-    the k message entries are one :func:`rankmetric._pack` block, the
-    observation entries a second block above it, and the int is its own
-    dict key.  The images over the first j coordinates are those over the
-    first j − 1, each plus one precomputed multiple a·row_j
-    (:func:`linalg._multiples`); the last coordinate's images are counted
-    as they are formed, so no list of all atoms is built.
+    An image is one :func:`rankmetric._pack` int of F_p digits, added as
+    :func:`rankmetric._digit_ops` says.  The images over the first j
+    coordinates are the distinct images over the first j − 1, each plus
+    every multiple a·cols[j] (:func:`linalg._multiples`), counted with
+    ``Counter``.  The map is additive, so its fibres are cosets of its
+    kernel: each layer counts every image equally often, c times, and the
+    count over j coordinates is the one over j − 1 times c.
     """
-    p, mu = tower.p, len(cols[0]) - k
-    w, add = _digit_ops(p, tower.m * (k + mu))
-    shift = tower.m * k * w
+    p, width, count = tower.p, len(cols[0]), 1
+    w, add = _digit_ops(p, tower.m * width)
 
     def pack(row: Sequence[int]) -> int:
-        return _pack(p, k, w, row[:k]) | _pack(p, mu, w, row[k:]) << shift
-
-    def grow(images: list, col: Sequence[int]):
-        steps = linalg._multiples(tower, col, tower.order, pack, add)
-        return chain.from_iterable(map(add, images, repeat(t)) for t in steps)
+        return _pack(p, width, w, row)
 
     images = [0]
-    for col in cols[:-1]:
-        images = list(grow(images, col))
-    return Counter(grow(images, cols[-1])), shift
+    for col in cols:
+        steps = linalg._multiples(tower, col, tower.order, pack, add)
+        images = Counter(chain.from_iterable(map(add, images, repeat(t)) for t in steps))
+        common = set(images.values())
+        if len(common) != 1:
+            raise InvariantError(f"images of an additive map counted {sorted(common)}, "
+                                 "not one common count")
+        count *= common.pop()
+        images = list(images)  # frees the Counter: two layers alive at most
+    return count
 
 
 def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
@@ -119,39 +120,25 @@ def leakage_joint_enumeration(code: LinearCode, B_rows: Sequence[Sequence[int]],
     A uniform word c is exactly a uniform message s = c·Gᵀ followed by a
     uniform word of its coset, so the joint distribution of (s, w), w =
     c·Bᵀ, is the count of each image c·[Gᵀ | Bᵀ] over all q^{mn} atoms c.
-    Every atom is counted once: its image is an image already formed plus
-    one precomputed multiple of a row of [Gᵀ | Bᵀ], one addition of packed
-    digits (:func:`_image_counts`).  The marginals are sums over the joint
-    table, of the low and the high bits of each image.
-
-    Every count is a power of q (checked), so
-    I = H(S) + H(W) − H(S, W) is one integer numerator over atoms·m, in
-    packet units.  The budget is checked on the atoms before any work, and
-    the result is compared with the intersection-dimension formula
-    :func:`leakage_exact`; a mismatch raises InvariantError (also under
-    ``python -O``).
+    :func:`_fibre` forms the distinct images one coordinate at a time and
+    finds every image as often as every other, as it does for the images
+    c·Gᵀ and c·Bᵀ that give the marginals.  So each of S, W and (S, W) is
+    uniform on its image, and with e_X the p-exponent of X's common count
+    (checked to be a power of p), I = H(S) + H(W) − H(S, W) is
+    (e_atoms + e_joint − e_S − e_W)/m packets.  The budget is checked on
+    the atoms before any work, and the result is compared with the
+    intersection-dimension formula :func:`leakage_exact`; a mismatch raises
+    InvariantError (also under ``python -O``).
     """
     tower = code.tower
     _check_wiretap_rows(tower, B_rows, code.n)
-    n, k, m = code.n, code.k, tower.m
+    n, k, p = code.n, code.k, tower.p
     atoms = tower.order**n
     check_budget(atoms, budget, "atoms")
     cols = linalg.transpose(list(code.G) + list(B_rows), n)
-    joint, shift = _image_counts(tower, cols, k)
-    mask = (1 << shift) - 1
-    s_count: Counter = Counter()
-    w_count: Counter = Counter()
-    for key, cnt in joint.items():
-        s_count[key & mask] += cnt
-        w_count[key >> shift] += cnt
-    counts = {atoms}.union(joint.values(), s_count.values(), w_count.values())
-    logs = {c: _int_log(c, tower.p) for c in counts}
-
-    def weighted(t: Counter) -> int:
-        return sum(c * logs[c] for c in t.values())
-
-    num = atoms * logs[atoms] + weighted(joint) - weighted(s_count) - weighted(w_count)
-    info = Fraction(num, atoms * m)
+    e_joint, e_s, e_w = (_int_log(_fibre(tower, part), p)
+                         for part in (cols, [c[:k] for c in cols], [c[k:] for c in cols]))
+    info = Fraction(_int_log(atoms, p) + e_joint - e_s - e_w, tower.m)
     exact = leakage_exact(code, B_rows).leakage
     if info != exact:
         raise InvariantError(f"joint enumeration gave {info}, intersection gives {exact}")

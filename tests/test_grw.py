@@ -457,6 +457,47 @@ def test_estimates_refuse_plans_outside_the_hypotheses():
         grw_estimates_mrd(plan)
 
 
+def _grid_slice():
+    """Seed-1 builds of every plan with q = 2, m in {2, 3} and q = 3, m = 2,
+    for m < n <= 7 and 1 <= k < n: 58 cells."""
+    for tower in (FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2)):
+        for n in range(tower.m + 1, 8):
+            for k in range(1, n):
+                plan = mrd_plan(tower, n, k)
+                yield plan, codes_mod.build_mrd_reducible(tower, plan, seed=1)
+
+
+def test_mrd_family_grid_slice():
+    """Paper results 1-2 on each cell: the d_1 formula and d1_lower against
+    the exact d_1, verdict mrd only on MRD codes, the estimates below the
+    table, the bound sandwich, Wei duality and the MRD rank both ways.
+    C's table comes from the closed-space walk on C and C^⊥'s from the
+    subcode walk on C^⊥, so no side is derived from the other; the table
+    the tool prints (which may come through C^⊥) must equal C's."""
+    counts = [0, 0, 0, 0]  # cells, d_1 formulas, mrd verdicts, estimated cells
+    for plan, R in _grid_slice():
+        code, n, k = R.code(), plan.n, plan.k
+        table = grw_mod._closed_space_table(code)
+        assert grw_table_exact(code)[0] == table
+        d1 = table[0]
+        assert plan.d1_exact in (None, d1)
+        assert plan.d1_lower <= d1
+        if plan.verdict == "mrd":
+            assert singleton_check(plan.m, n, k, d1, d1)[0] is True
+        if plan.hypotheses_ok:
+            assert all(e <= d for e, d in zip(grw_estimates_mrd(plan), table))
+        for e, d in zip(grw_bounds_reducible(R).entries, table):
+            assert e.lower <= d <= e.upper
+            assert e.exact in (None, d)
+        dual = code.dual()
+        dual_table = [min_closure(dual, r)[1] for r in range(1, dual.k + 1)]
+        assert sorted(table + [n + 1 - d for d in dual_table]) == list(range(1, n + 1))
+        assert mrd_rank(code) == mrd_rank_from_table(table, n, k)
+        flags = (True, plan.d1_exact is not None, plan.verdict == "mrd", plan.hypotheses_ok)
+        counts = [c + f for c, f in zip(counts, flags)]
+    assert counts == [58, 56, 6, 58]
+
+
 # -- singleton / MRD rank ---------------------------------------------------------
 
 def test_singleton_check_examples(f4, f16):

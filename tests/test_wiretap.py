@@ -1,4 +1,5 @@
 import itertools
+import operator
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from rankcodes import (BudgetError, CodeFileError, FieldTower, HypothesisError,
                        gabidulin, grw_table_exact, leakage_exact, linalg,
                        reducible)
 from rankcodes import wiretap as wt
+from rankcodes.errors import InvariantError
 from rankcodes.rankmetric import GaloisClosedSpace
 
 from conftest import (leakage_joint_reference, random_full_rank, src_env,
@@ -106,17 +108,23 @@ def tapped_code(draw):
 @example((LinearCode(F8, 3, [[1, 2, 4]]), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
 @example((LinearCode(F4, 4, []), []))
 @example((LinearCode(F25, 2, []), []))
+# taps that meet the code (leakage 1), so the joint layers collapse
+@example((LinearCode(F4, 4, [[1, 1, 0, 0], [0, 2, 1, 3]]), [[1, 1, 0, 0], [0, 0, 1, 1]]))
+@example((LinearCode(F25, 2, [[1, 3]]), [[1, 3], [2, 1]]))
+@example((LinearCode(F27, 2, [[1, 5], [0, 1]]), [[1, 2], [0, 1]]))  # k = mu = n
+@example((LinearCode(F9, 3, []), [[1, 2, 0], [2, 1, 0]]))  # k = 0, dependent taps
 def test_joint_enumeration_matches_reference(case):
-    """The counts of packed images, added digit-wise for every p, give the
-    information of the per-atom loop with two vector–matrix products per
-    atom."""
+    """The common counts of the distinct packed images, added digit-wise
+    for every p, give the information of the per-atom loop with two
+    vector–matrix products per atom."""
     code, B = case
     assert wt.leakage_joint_enumeration(code, B) == leakage_joint_reference(code, B)
 
 
 def test_joint_enumeration_budget(f8):
+    # the price is the q^{mn} atoms, known before the walk, not the images formed
     code = random_full_rank(f8, 4, 2, seed=1, label="joint-budget")
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="^enumerating 4096 atoms exceeds the budget of 10$"):
         wt.leakage_joint_enumeration(code, [], budget=10)
 
 
@@ -147,6 +155,33 @@ def test_joint_enumeration_check_survives_optimize():
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("optimized raised: joint enumeration gave 1, "
                                  "intersection gives 2")
+
+
+_OR_ADDITION = """
+import operator
+from rankcodes import FieldTower, gabidulin, linalg
+from rankcodes import wiretap as wt
+
+wt._digit_ops = lambda p, fields: (1, operator.or_)
+try:
+    wt.leakage_joint_enumeration(gabidulin(FieldTower(2, 2), 2, 1), linalg.identity(2))
+except AssertionError as exc:
+    print("debug" if __debug__ else "optimized", "raised:", exc)
+"""
+
+
+def test_joint_enumeration_checks_common_count(monkeypatch):
+    """OR in place of XOR is no group operation: the images are no cosets
+    of a kernel, and the layer whose counts differ is refused, in-process
+    and under -O."""
+    monkeypatch.setattr(wt, "_digit_ops", lambda p, fields: (1, operator.or_))
+    with pytest.raises(InvariantError, match="not one common count"):
+        wt.leakage_joint_enumeration(gabidulin(F4, 2, 1), linalg.identity(2))
+    res = subprocess.run([sys.executable, "-O", "-c", _OR_ADDITION],
+                         env=src_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("optimized raised: images of an additive map counted")
+    assert res.stdout.rstrip().endswith("not one common count")
 
 
 # -- stronger security ----------------------------------------------------------------
