@@ -9,8 +9,13 @@ tables priced together before the first candidate.  Every randomized
 subcommand requires an explicit --seed, and identical invocations with
 identical seeds produce byte-identical output.
 
-Each handler imports the modules it runs, so a command loads no oracle,
-equivalence or wiretap code it does not use.
+A process builds only what its command runs.  The parser is built for
+the invoked group only: every group is registered with its help line,
+but only the group named by the first argument gets its subcommands and
+arguments (all of them do when none is named).  Each handler imports the
+modules it runs, so a command loads no oracle, equivalence or wiretap
+code it does not use.  The result records are NamedTuples, so no module
+imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -89,57 +94,56 @@ def _print(lines: Sequence[str]) -> None:
         print(line)
 
 
-def build_parser() -> _Parser:
-    ap = _Parser(prog="rankcodes", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _field_args(p, n=True, k=True) -> None:
+    p.add_argument("--p", type=int, required=True, help="prime base field size")
+    p.add_argument("--m", type=int, required=True, help="extension degree")
+    if n:
+        p.add_argument("--n", type=int, required=True, help="code length")
+    if k:
+        p.add_argument("--k", type=int, required=True, help="code dimension")
+    p.add_argument("--modulus", help="override modulus, m+1 comma-separated digits")
 
-    def add_field_args(p, n=True, k=True):
-        p.add_argument("--p", type=int, required=True, help="prime base field size")
-        p.add_argument("--m", type=int, required=True, help="extension degree")
-        if n:
-            p.add_argument("--n", type=int, required=True, help="code length")
-        if k:
-            p.add_argument("--k", type=int, required=True, help="code dimension")
-        p.add_argument("--modulus", help="override modulus, m+1 comma-separated digits")
 
-    def add_out(p):
-        p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
+def _out_arg(p) -> None:
+    p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
 
-    def add_budget(p):
-        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                       help="candidates the command may enumerate")
 
-    con = sub.add_parser("construct", help="emit code files").add_subparsers(
-        dest="what", required=True)
+def _budget_arg(p) -> None:
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help="candidates the command may enumerate")
+
+
+def _construct_args(group) -> None:
+    con = group.add_subparsers(dest="what", required=True)
 
     p = con.add_parser("gabidulin")
-    add_field_args(p)
+    _field_args(p)
     p.add_argument("--points", help="space-separated evaluation points in scalar syntax")
-    add_out(p)
+    _out_arg(p)
 
     p = con.add_parser("cartesian")
     p.add_argument("--inputs", nargs="+", required=True, help="factor code files")
-    add_out(p)
+    _out_arg(p)
 
     p = con.add_parser("reducible")
     p.add_argument("--inputs", nargs="+", required=True, help="main component code files")
     p.add_argument("--seed", type=int, required=True, help="seed for random off-diagonal blocks")
-    add_out(p)
+    _out_arg(p)
 
     p = con.add_parser("mrd-plan")
-    add_field_args(p)
+    _field_args(p)
 
     p = con.add_parser("mrd-build")
-    add_field_args(p)
+    _field_args(p)
     p.add_argument("--seed", type=int, required=True)
-    add_out(p)
+    _out_arg(p)
 
     p = con.add_parser("opt")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--modulus")
-    add_out(p)
+    _out_arg(p)
 
     p = con.add_parser("plotkin")
     p.add_argument("--input1", required=True)
@@ -147,53 +151,58 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["uv", "alpha", "frobenius"], required=True)
     p.add_argument("--alpha", help="scalar for mode alpha, in scalar syntax")
     p.add_argument("--power", type=int, help="Frobenius power for mode frobenius")
-    add_out(p)
+    _out_arg(p)
 
     p = con.add_parser("transposed-gab")
-    add_field_args(p)
-    add_budget(p)
+    _field_args(p)
+    _budget_arg(p)
     p.add_argument("--list", action="store_true", help="also list the codeword matrices")
 
-    g = sub.add_parser("grw", help="weight tables and bounds").add_subparsers(
-        dest="what", required=True)
+
+def _grw_args(group) -> None:
+    g = group.add_subparsers(dest="what", required=True)
     p = g.add_parser("exact")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["auto", "subcodes", "closed"], default="auto")
-    add_budget(p)
+    _budget_arg(p)
     p = g.add_parser("bounds")
     p.add_argument("--input", required=True)
-    add_budget(p)
+    _budget_arg(p)
     p = g.add_parser("estimates")
-    add_field_args(p)
+    _field_args(p)
 
-    c = sub.add_parser("check", help="MRD / degeneracy / product checks").add_subparsers(
-        dest="what", required=True)
+
+def _check_args(group) -> None:
+    c = group.add_subparsers(dest="what", required=True)
     for name in ("mrd", "degenerate", "product", "mrd-rank"):
         p = c.add_parser(name)
         p.add_argument("--input", required=True)
         if name.startswith("mrd"):
-            add_budget(p)
+            _budget_arg(p)
 
-    p = sub.add_parser("dual")
+
+def _dual_args(p) -> None:
     p.add_argument("--input", required=True)
-    add_out(p)
+    _out_arg(p)
 
-    e = sub.add_parser("equiv", help="rank equivalence constructions").add_subparsers(
-        dest="what", required=True)
+
+def _equiv_args(group) -> None:
+    e = group.add_subparsers(dest="what", required=True)
     p = e.add_parser("to-opt")
     p.add_argument("--input", required=True)
-    add_budget(p)
+    _budget_arg(p)
     p = e.add_parser("product-test")
     p.add_argument("--input", required=True)
 
-    w = sub.add_parser("wiretap", help="leakage computations").add_subparsers(
-        dest="what", required=True)
+
+def _wiretap_args(group) -> None:
+    w = group.add_subparsers(dest="what", required=True)
     p = w.add_parser("leak")
     p.add_argument("--input", required=True)
     p.add_argument("--wiretap", required=True)
     p.add_argument("--no-table", action="store_true",
                    help="skip the worst-case interpretation (no weight table)")
-    add_budget(p)
+    _budget_arg(p)
     p = w.add_parser("empirical")
     p.add_argument("--input", required=True)
     p.add_argument("--wiretap", required=True)
@@ -201,19 +210,47 @@ def build_parser() -> _Parser:
     p = w.add_parser("certify")
     p.add_argument("--input", required=True)
     p.add_argument("--wiretap", required=True)
-    add_budget(p)
+    _budget_arg(p)
 
-    r = sub.add_parser("reduce", help="reduction rewrites").add_subparsers(
-        dest="what", required=True)
+
+def _reduce_args(group) -> None:
+    r = group.add_subparsers(dest="what", required=True)
     p = r.add_parser("exact-d1")
     p.add_argument("--input", required=True)
-    add_budget(p)
-    add_out(p)
+    _budget_arg(p)
+    _out_arg(p)
     p = r.add_parser("transform")
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, required=True)
-    add_out(p)
+    _out_arg(p)
 
+
+# group word -> (its registration keywords, which hold its line in the
+# top-level help; what adds its subcommands and arguments), in help order
+_GROUPS = {
+    "construct": ({"help": "emit code files"}, _construct_args),
+    "grw": ({"help": "weight tables and bounds"}, _grw_args),
+    "check": ({"help": "MRD / degeneracy / product checks"}, _check_args),
+    "dual": ({}, _dual_args),
+    "equiv": ({"help": "rank equivalence constructions"}, _equiv_args),
+    "wiretap": ({"help": "leakage computations"}, _wiretap_args),
+    "reduce": ({"help": "reduction rewrites"}, _reduce_args),
+}
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
+    """The parser for ``argv``.  Every group is registered with its help
+    line, but only the group that ``argv[0]`` names gets its subcommands
+    and arguments.  Without such a word (no ``argv``, ``-h``, a typo)
+    every group gets them, so argparse's help, usage and error texts are
+    those of the full parser either way."""
+    ap = _Parser(prog="rankcodes", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _GROUPS else None
+    for name, (registration, add_args) in _GROUPS.items():
+        group = sub.add_parser(name, **registration)
+        if named in (None, name):
+            add_args(group)
     return ap
 
 
@@ -283,19 +320,20 @@ def _cmd_grw(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.what == "product":
+        from . import equivalence
+
+        obj = _load_reduction(args)
+        print(f"product={'true' if equivalence.exact_product_test(obj) else 'false'}")
+        return 0
     from . import grw
 
-    obj = _load_reduction(args) if args.what == "product" else _load_code(args)
-    code = _plain(obj)
+    code = _plain(_load_code(args))
     if args.what == "mrd":
         report = grw.grw_report_exact(code, args.budget)
         print(f"mrd={grw._fmt_flag(report.mrd)} defect={grw._fmt_int(report.defect)}")
     elif args.what == "degenerate":
         print(f"degenerate={'true' if grw.is_degenerate(code) else 'false'}")
-    elif args.what == "product":
-        from . import equivalence
-
-        print(f"product={'true' if equivalence.exact_product_test(obj) else 'false'}")
     elif args.what == "mrd-rank":
         print(f"mrd_rank={grw.mrd_rank(code, args.budget)}")
     return 0
@@ -325,7 +363,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_wiretap(args) -> int:
-    from . import grw, wiretap
+    from . import wiretap
     from .rankmetric import GaloisClosedSpace
 
     obj = _load_reduction(args) if args.what == "certify" else _load_code(args)
@@ -334,6 +372,8 @@ def _cmd_wiretap(args) -> int:
     if args.what == "leak":
         table = None
         if not args.no_table:
+            from . import grw
+
             table, _ = grw.grw_table_exact(code, args.budget)
         report = wiretap.leakage_exact(code, B, table)
         _print(report.lines())
@@ -378,7 +418,9 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)

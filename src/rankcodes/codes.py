@@ -12,8 +12,7 @@ Also owns the line-oriented code file format used by the CLI.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .errors import DEFAULT_BUDGET, CodeFileError, InvariantError, check_budget
@@ -299,8 +298,7 @@ def dual_reduction(R: Reduction) -> Reduction:
     return D
 
 
-@dataclass(frozen=True)
-class MrdPlan:
+class MrdPlan(NamedTuple):
     """Derived parameters and component shapes for the n > m MRD family."""
 
     m: int
@@ -434,8 +432,7 @@ def build_c_opt(tower: FieldTower, k: int) -> Reduction:
     return cartesian([factor] * k)
 
 
-@dataclass
-class TransposedGabidulin:
+class TransposedGabidulin(NamedTuple):
     """Transposes of the coordinate matrices of a Gabidulin code over the
     companion extension F_{q^n}; an F_q-linear (not F_{q^m}-linear) code
     of m x n matrices.  Only the minimum rank distance is tracked."""

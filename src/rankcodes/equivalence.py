@@ -11,25 +11,22 @@ by an explicit witness map, never decided from weight tables alone
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, build_c_opt, cartesian
 from .errors import DEFAULT_BUDGET, HypothesisError, InvariantError
-from .grw import grw_table_exact
 
 
-@dataclass
 class RankEquivalenceMap:
     """phi(v_i) = beta * w_i for paired F_q bases (v_i), (w_i)."""
 
-    tower: "object"
-    src_basis: Tuple[Tuple[int, ...], ...]
-    dst_basis: Tuple[Tuple[int, ...], ...]
-    beta: int = 1
-
-    def __post_init__(self):
+    def __init__(self, tower, src_basis: Tuple[Tuple[int, ...], ...],
+                 dst_basis: Tuple[Tuple[int, ...], ...], beta: int = 1):
+        self.tower = tower
+        self.src_basis = src_basis
+        self.dst_basis = dst_basis
+        self.beta = beta
         t = len(self.src_basis)
         if len(self.dst_basis) != t:
             raise ValueError("source and target bases differ in size")
@@ -48,6 +45,16 @@ class RankEquivalenceMap:
                 raise ValueError("source basis is dependent")
             if linalg.rank(self.dst_basis, self.dst_n, tower) != t:
                 raise ValueError("target basis is dependent")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.tower, self.src_basis, self.dst_basis, self.beta)
+                == (other.tower, other.src_basis, other.dst_basis, other.beta))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(tower={self.tower!r}, src_basis={self.src_basis!r}, "
+                f"dst_basis={self.dst_basis!r}, beta={self.beta!r})")
 
     @property
     def dim(self) -> int:
@@ -104,8 +111,7 @@ def dual_alpha_basis(tower) -> Tuple[int, ...]:
     return tuple(beta)
 
 
-@dataclass
-class ToOptResult:
+class ToOptResult(NamedTuple):
     map: RankEquivalenceMap
     c_opt: Reduction
     certified: bool
@@ -124,6 +130,8 @@ def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET) -> ToOptResult:
     generator rows b_s to the canonical coordinate vectors, block s of
     width m, where beta is the dual of the tower's basis alpha_i = y^(i-1).
     """
+    from .grw import grw_table_exact
+
     tower = code.tower
     m, k = tower.m, code.k
     if k < 1:
@@ -157,8 +165,7 @@ def to_c_opt(code: LinearCode, budget: int = DEFAULT_BUDGET) -> ToOptResult:
     return ToOptResult(psi, c_opt, True)
 
 
-@dataclass
-class ProductCharacterization:
+class ProductCharacterization(NamedTuple):
     equivalent: bool
     closure_dims: List[int]
     total_closure_dim: int

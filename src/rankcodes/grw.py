@@ -34,9 +34,8 @@ reach, not a count of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, rankmetric
 from .codes import LinearCode, Reduction, dual_reduction
@@ -52,8 +51,7 @@ def _fmt_int(v: Optional[int]) -> str:
     return "-" if v is None else str(v)
 
 
-@dataclass
-class GrwEntry:
+class GrwEntry(NamedTuple):
     r: int
     lower: int
     upper: int
@@ -65,11 +63,10 @@ class GrwEntry:
                 f"exact={_fmt_int(self.exact)} method={self.method}")
 
 
-@dataclass
-class GrwReport:
+class GrwReport(NamedTuple):
     n: int
     k: int
-    entries: List[GrwEntry] = field(default_factory=list)
+    entries: List[GrwEntry] = []  # one shared default; a report is built whole, never appended to
     mrd: Optional[bool] = None
     defect: Optional[int] = None
     mrd_rank: Optional[int] = None
@@ -119,8 +116,7 @@ def _closed_cost(code: LinearCode, top: Optional[int] = None) -> int:
     return sum(gaussian_binomial(code.n, d, code.tower.p) for d in range(1, top + 1))
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """One way to the table: an oracle on C or on C^⊥, and its price."""
     oracle: str  # "subcodes" or "closed"
     dual: bool
@@ -462,8 +458,7 @@ def is_degenerate(code: LinearCode) -> bool:
     return code.closure_dim < code.n
 
 
-@dataclass
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     code_degenerate: bool
     main_degenerate: List[bool]
     column_degenerate: List[bool]

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 
@@ -230,8 +229,7 @@ def min_closure(code, r: int) -> Tuple[List[List[int]], int]:
     return tuple(least)
 
 
-@dataclass(frozen=True)
-class GaloisClosedSpace:
+class GaloisClosedSpace(NamedTuple):
     """A Frobenius-stable F_{q^m}-space, held by its F_q RREF basis."""
 
     tower: "object"

@@ -19,20 +19,17 @@ error, never coerced.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .codes import LinearCode, Reduction, _content_lines, _parse_row
 from .errors import DEFAULT_BUDGET, JOINT_BUDGET, CodeFileError, InvariantError, check_budget
-from .grw import _exact_tables
 from .rankmetric import GaloisClosedSpace, _digit_ops, _pack
 
 
-@dataclass
-class LeakageReport:
+class LeakageReport(NamedTuple):
     mu: int
     leakage: int
     worst_case_r: Optional[int] = None
@@ -160,8 +157,7 @@ def projection_dims(R: Reduction, V: GaloisClosedSpace) -> List[int]:
     return dims
 
 
-@dataclass
-class CompositionSearchResult:
+class CompositionSearchResult(NamedTuple):
     applicable: bool
     bound: Optional[int]
     composition: Optional[Tuple[int, ...]]
@@ -181,6 +177,8 @@ def composition_search(R: Reduction, V: GaloisClosedSpace,
     applicable.  The main component tables are priced together against
     the one budget.
     """
+    from .grw import _exact_tables
+
     tabs = _exact_tables([R.main_component(i) for i in range(R.l)], budget)
     dims = projection_dims(R, V)
     best_comp = []

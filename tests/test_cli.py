@@ -1,6 +1,10 @@
+import argparse
+import contextlib
+import io
+
 import pytest
 
-from rankcodes import parse_code_file
+from rankcodes import cli, parse_code_file
 from rankcodes.cli import main
 
 
@@ -343,3 +347,47 @@ def test_transposed_gab_listing(capsys):
                        "--n", "3", "--k", "0")
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _subcommands(parser) -> dict:
+    """name -> parser of each subcommand that ``parser`` registers."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _outcome(parser, argv):
+    """What parsing ``argv`` prints and how it ends: help exits, a bad
+    flag raises the CLI's error with argparse's message."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            parser.parse_args(argv)
+            end = "parsed"
+        except SystemExit as exc:
+            end = f"exit {exc.code}"
+        except cli._CliError as exc:
+            end = f"error {exc}"
+    return end, out.getvalue()
+
+
+def test_parser_for_a_command_matches_the_full_parser():
+    full = cli.build_parser()
+    groups = _subcommands(full)
+    assert list(groups) == list(cli._GROUPS)
+    cases = [[], ["--help"], ["bogus"]]
+    subcommands = 0
+    for group, gp in groups.items():
+        cases += [[group, "--help"], [group, "bogus"], [group]]
+        for name in _subcommands(gp):
+            cases += [[group, name, "--help"], [group, name]]
+            subcommands += 1
+    assert (len(groups), subcommands) == (7, 22)
+    for argv in cases:
+        built = cli.build_parser(argv)
+        if argv and argv[0] in groups:
+            # the other groups are registered but empty
+            assert [g for g, gp in _subcommands(built).items()
+                    if gp._actions[1:]] == [argv[0]]
+        got, want = _outcome(built, argv), _outcome(full, argv)
+        assert got == want, argv
+        assert want[0] != "parsed", argv

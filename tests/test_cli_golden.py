@@ -15,7 +15,10 @@ regenerate it with::
 
 The session runs twice: in-process through ``main``, and as one
 ``python -O -m rankcodes.cli`` process per command, which shows that no
-printed result depends on an ``assert``.
+printed result depends on an ``assert``.  A few of its commands run once
+more, each in such a process, to check what the process loads: no
+``dataclasses``, and no ``rankcodes.grw`` for a command without a weight
+table.
 """
 
 import contextlib
@@ -100,6 +103,52 @@ def test_golden_optimized_subprocess(tmp_path):
         return res.returncode, res.stdout
 
     assert transcript(run, tmp_path) == expected()
+
+
+# Runs rankcodes.cli as ``python -m`` does, then names on stderr every
+# module the process loaded.
+_LOADED = """
+import runpy, sys
+sys.argv = ["rankcodes", *sys.argv[1:]]
+try:
+    runpy.run_module("rankcodes.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("loaded", *sorted(sys.modules), file=sys.stderr)
+"""
+
+# one golden command per group; the construct commands write the files
+# the others read
+GROUP_COMMANDS = [
+    "construct opt --p 2 --m 2 --k 2 -o opt.code",
+    "construct mrd-build --p 2 --m 2 --n 4 --k 2 --seed 7 -o red.code",
+    "grw exact --input opt.code",
+    "check mrd --input red.code",
+    "dual --input red.code",
+    "equiv to-opt --input opt.code",
+    "wiretap leak --input opt.code --wiretap tap.wiretap",
+    "reduce transform --input red.code --seed 3",
+]
+# golden commands that compute no weight table
+NO_TABLE_COMMANDS = [
+    "dual --input red.code",
+    "wiretap empirical --input opt.code --wiretap tap.wiretap",
+    "check product --input red.code",
+    "equiv product-test --input red.code",
+]
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    (tmp_path / "tap.wiretap").write_text(TAP_FILE)
+    loaded = {}
+    for cmd in dict.fromkeys(GROUP_COMMANDS + NO_TABLE_COMMANDS):
+        assert cmd in COMMANDS
+        res = subprocess.run([sys.executable, "-O", "-c", _LOADED, *cmd.split()],
+                             cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+        assert res.returncode == 0, (cmd, res.stderr)
+        loaded[cmd] = set(res.stderr.splitlines()[-1].split()[1:])
+    assert "rankcodes.grw" in loaded["grw exact --input opt.code"]
+    assert [cmd for cmd in GROUP_COMMANDS if "dataclasses" in loaded[cmd]] == []
+    assert [cmd for cmd in NO_TABLE_COMMANDS if "rankcodes.grw" in loaded[cmd]] == []
 
 
 if __name__ == "__main__":

@@ -136,8 +136,7 @@ real = wt.leakage_exact
 
 def off_by_one(code, B_rows, table=None):
     rep = real(code, B_rows, table)
-    rep.leakage += 1
-    return rep
+    return rep._replace(leakage=rep.leakage + 1)
 
 wt.leakage_exact = off_by_one
 code = gabidulin(FieldTower(2, 2), 2, 1)
