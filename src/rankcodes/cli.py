@@ -225,19 +225,6 @@ def _reduce_args(group) -> None:
     _out_arg(p)
 
 
-# group word -> (its registration keywords, which hold its line in the
-# top-level help; what adds its subcommands and arguments), in help order
-_GROUPS = {
-    "construct": ({"help": "emit code files"}, _construct_args),
-    "grw": ({"help": "weight tables and bounds"}, _grw_args),
-    "check": ({"help": "MRD / degeneracy / product checks"}, _check_args),
-    "dual": ({}, _dual_args),
-    "equiv": ({"help": "rank equivalence constructions"}, _equiv_args),
-    "wiretap": ({"help": "leakage computations"}, _wiretap_args),
-    "reduce": ({"help": "reduction rewrites"}, _reduce_args),
-}
-
-
 def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
     """The parser for ``argv``.  Every group is registered with its help
     line, but only the group that ``argv[0]`` names gets its subcommands
@@ -247,7 +234,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
     ap = _Parser(prog="rankcodes", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _GROUPS else None
-    for name, (registration, add_args) in _GROUPS.items():
+    for name, (registration, add_args, _) in _GROUPS.items():
         group = sub.add_parser(name, **registration)
         if named in (None, name):
             add_args(group)
@@ -406,14 +393,17 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "grw": _cmd_grw,
-    "check": _cmd_check,
-    "dual": _cmd_dual,
-    "equiv": _cmd_equiv,
-    "wiretap": _cmd_wiretap,
-    "reduce": _cmd_reduce,
+# group word -> (its registration keywords, which hold its line in the
+# top-level help; what adds its subcommands and arguments; what runs it),
+# in help order
+_GROUPS = {
+    "construct": ({"help": "emit code files"}, _construct_args, _cmd_construct),
+    "grw": ({"help": "weight tables and bounds"}, _grw_args, _cmd_grw),
+    "check": ({"help": "MRD / degeneracy / product checks"}, _check_args, _cmd_check),
+    "dual": ({}, _dual_args, _cmd_dual),
+    "equiv": ({"help": "rank equivalence constructions"}, _equiv_args, _cmd_equiv),
+    "wiretap": ({"help": "leakage computations"}, _wiretap_args, _cmd_wiretap),
+    "reduce": ({"help": "reduction rewrites"}, _reduce_args, _cmd_reduce),
 }
 
 
@@ -423,17 +413,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return _GROUPS[args.command][2](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CodeFileError, HypothesisError, ValueError, OSError) as exc:
+    except (_CliError, CodeFileError, HypothesisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

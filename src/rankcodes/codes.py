@@ -3,8 +3,11 @@ cartesian products, reducible codes and their reductions, the MRD
 reducible family for n > m, the length-km family with all weights
 maximal, transposed Gabidulin codes, and Plotkin-style variants.
 
-The structured dual of a reducible code is again a :class:`Reduction`:
-one of C^⊥ with the blocks in reverse order (:func:`dual_reduction`).
+A reducible code is held as its :class:`Reduction`, the
+block-upper-triangular generator rows themselves; blocks, row groups and
+components are slices of them.  The structured dual of a reducible code
+is again a :class:`Reduction`: one of C^⊥ with the blocks in reverse
+order (:func:`dual_reduction`).
 
 Also owns the line-oriented code file format used by the CLI.
 """
@@ -109,18 +112,29 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.tower.order})"
 
 
-class Reduction:
-    """A block-upper-triangular generator structure.
+class _ZeroPatternError(ValueError):
+    """A generator row nonzero left of its diagonal block; ``row`` is its
+    index, so a caller can point at the row's source."""
 
-    Row group i has dims[i] rows and column block j has lengths[j]
-    columns; block (i, j) is the dims[i] x lengths[j] piece where they
-    meet (0-indexed, i <= j).  Each diagonal block generates the main
-    component C_i and must have full rank; a block missing from the store
-    reads as zero.
+    def __init__(self, row: int, message: str):
+        self.row = row
+        super().__init__(message)
+
+
+class Reduction:
+    """The block-upper-triangular generator of a reducible code.
+
+    The generator is stored as given, as ``G``, like :class:`LinearCode`'s.
+    Row group i is dims[i] consecutive rows of G and column block j is
+    lengths[j] consecutive columns; block (i, j) is where they meet
+    (0-indexed).  Every row of group i is zero left of column block i, and
+    each diagonal block generates the main component C_i and has full
+    rank.  Both are checked once, here; every block, row group and
+    component is a slice of G.
     """
 
     def __init__(self, tower: FieldTower, lengths: Sequence[int], dims: Sequence[int],
-                 blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]]):
+                 rows: Sequence[Sequence[int]]):
         if len(lengths) != len(dims) or not lengths:
             raise ValueError("lengths and dims must be equally sized and nonempty")
         if any(n_i < 1 for n_i in lengths) or any(k_i < 0 for k_i in dims):
@@ -128,16 +142,15 @@ class Reduction:
         self.tower = tower
         self.lengths = tuple(int(x) for x in lengths)
         self.dims = tuple(int(x) for x in dims)
-        store: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
-        for (i, j), rows in blocks.items():
-            if not (0 <= i <= j < self.l):
-                raise ValueError(f"block index {(i, j)} outside the upper triangle")
-            rows = tuple(tuple(int(x) for x in row) for row in rows)
-            if len(rows) != self.dims[i] or any(len(row) != self.lengths[j] for row in rows):
-                raise ValueError(f"block {(i, j)} has the wrong shape")
-            store[(i, j)] = rows
-        self.blocks = store
+        self.G = tuple(tuple(int(x) for x in row) for row in rows)
+        if len(self.G) != self.k or any(len(row) != self.n for row in self.G):
+            raise ValueError(f"the generator must be {self.k} rows of length {self.n}")
         self._code: Optional[LinearCode] = None
+        groups = [i for i, k_i in enumerate(self.dims) for _ in range(k_i)]
+        for r, (i, row) in enumerate(zip(groups, self.G)):
+            if any(row[:self.col_offset(i)]):
+                raise _ZeroPatternError(r, f"generator row {r} violates the zero pattern: "
+                                           f"nonzero left of diagonal block {i}")
         for i in range(self.l):
             if linalg.rank(self.block(i, i), self.lengths[i], tower) != self.dims[i]:
                 raise ValueError(f"diagonal block {i} is rank deficient")
@@ -154,25 +167,25 @@ class Reduction:
     def k(self) -> int:
         return sum(self.dims)
 
-    def block(self, i: int, j: int) -> Tuple[Tuple[int, ...], ...]:
-        zero = ((0,) * self.lengths[j],) * self.dims[i]
-        return self.blocks.get((i, j), zero)
+    def col_offset(self, j: int) -> int:
+        return sum(self.lengths[:j])
 
-    def _group_rows(self, i: int) -> List[List[int]]:
+    def _group_rows(self, i: int) -> Tuple[Tuple[int, ...], ...]:
         """The full-length rows of row group i."""
-        blocks = [self.block(i, j) for j in range(self.l)]
-        return [[x for blk in blocks for x in blk[r]] for r in range(self.dims[i])]
+        start = sum(self.dims[:i])
+        return self.G[start:start + self.dims[i]]
+
+    def block(self, i: int, j: int) -> List[Tuple[int, ...]]:
+        start = self.col_offset(j)
+        return [row[start:start + self.lengths[j]] for row in self._group_rows(i)]
 
     def generator(self) -> List[List[int]]:
-        return [row for i in range(self.l) for row in self._group_rows(i)]
+        return [list(row) for row in self.G]
 
     def code(self) -> LinearCode:
         if self._code is None:
-            self._code = LinearCode(self.tower, self.n, self.generator())
+            self._code = LinearCode(self.tower, self.n, self.G)
         return self._code
-
-    def col_offset(self, j: int) -> int:
-        return sum(self.lengths[:j])
 
     def main_component(self, i: int) -> LinearCode:
         return LinearCode(self.tower, self.lengths[i], self.block(i, i))
@@ -186,29 +199,8 @@ class Reduction:
         return LinearCode(self.tower, n_j, linalg.rref_nonzero(rows, n_j, self.tower))
 
     def is_cartesian(self) -> bool:
-        return all(all(all(x == 0 for x in row) for row in self.block(i, j))
-                   for i in range(self.l) for j in range(i + 1, self.l))
-
-    @classmethod
-    def from_generator(cls, tower: FieldTower, lengths: Sequence[int], dims: Sequence[int],
-                       rows: Sequence[Sequence[int]]) -> "Reduction":
-        lengths = tuple(lengths)
-        dims = tuple(dims)
-        if len(rows) != sum(dims):
-            raise ValueError("row count differs from the declared block dims")
-        offsets = [0]
-        for n_j in lengths:
-            offsets.append(offsets[-1] + n_j)
-        blocks: Dict[Tuple[int, int], List[List[int]]] = {}
-        row_iter = iter(rows)
-        for i, k_i in enumerate(dims):
-            chunk = [list(next(row_iter)) for _ in range(k_i)]
-            for row in chunk:
-                if any(row[t] != 0 for t in range(offsets[i])):
-                    raise ValueError(f"block row {i} has nonzero entries left of its diagonal block")
-            for j in range(i, len(lengths)):
-                blocks[(i, j)] = [row[offsets[j]:offsets[j + 1]] for row in chunk]
-        return cls(tower, lengths, dims, blocks)
+        return not any(any(row[self.col_offset(i + 1):])
+                       for i in range(self.l) for row in self._group_rows(i))
 
     def __repr__(self):
         return f"Reduction(lengths={list(self.lengths)}, dims={list(self.dims)})"
@@ -245,8 +237,11 @@ def cartesian(codes: Sequence[LinearCode]) -> Reduction:
     tower = codes[0].tower
     if any(c.tower != tower for c in codes):
         raise ValueError("cartesian factors live in different towers")
-    blocks = {(i, i): c.G for i, c in enumerate(codes)}
-    return Reduction(tower, [c.n for c in codes], [c.k for c in codes], blocks)
+    n, left, rows = sum(c.n for c in codes), 0, []
+    for c in codes:
+        rows += [[0] * left + list(row) + [0] * (n - left - c.n) for row in c.G]
+        left += c.n
+    return Reduction(tower, [c.n for c in codes], [c.k for c in codes], rows)
 
 
 def reducible(mains: Sequence[LinearCode], *, seed: int) -> Reduction:
@@ -261,14 +256,15 @@ def reducible(mains: Sequence[LinearCode], *, seed: int) -> Reduction:
         raise ValueError("main components live in different towers")
     lengths = [c.n for c in mains]
     dims = [c.k for c in mains]
-    blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]] = {
-        (i, i): c.G for i, c in enumerate(mains)}
-    l = len(mains)
-    for i in range(l):
-        for j in range(i + 1, l):
+    rows = []
+    for i, c in enumerate(mains):
+        group = [[0] * sum(lengths[:i]) + list(row) for row in c.G]
+        for j in range(i + 1, len(mains)):
             rng = linalg.rng_stream(seed, f"offdiag:{i}:{j}")
-            blocks[(i, j)] = rng.integers(0, tower.order, size=(dims[i], lengths[j]))
-    return Reduction(tower, lengths, dims, blocks)
+            for row, drawn in zip(group, rng.integers(0, tower.order, size=(dims[i], lengths[j]))):
+                row += drawn
+        rows += group
+    return Reduction(tower, lengths, dims, rows)
 
 
 def dual_reduction(R: Reduction) -> Reduction:
@@ -289,7 +285,7 @@ def dual_reduction(R: Reduction) -> Reduction:
     H = linalg.rref_nonzero([[row[c] for c in order] for row in R.code().dual().G], R.n, tower)
     dims = [n_i - k_i for n_i, k_i in zip(R.lengths, R.dims)]
     try:
-        D = Reduction.from_generator(tower, R.lengths[::-1], dims[::-1], H)
+        D = Reduction(tower, R.lengths[::-1], dims[::-1], H)
     except ValueError as exc:
         raise InvariantError(f"structured dual: {exc}") from None
     for i in range(l):
@@ -487,7 +483,7 @@ def plotkin_variant(c1: LinearCode, c2: LinearCode, mode: str, *,
     if c1.n != c2.n:
         raise ValueError("both factors must have the same length")
     if mode == "uv":
-        f = lambda row: list(row)
+        f = lambda row: row
     elif mode == "alpha":
         if alpha is None:
             raise ValueError("mode alpha needs a scalar")
@@ -501,48 +497,34 @@ def plotkin_variant(c1: LinearCode, c2: LinearCode, mode: str, *,
         f = lambda row: rankmetric.vector_frobenius(tower, row, frob_power)
     else:
         raise ValueError(f"unknown plotkin mode {mode!r}")
-    blocks = {
-        (0, 0): c1.G,
-        (0, 1): [f(row) for row in c1.G],
-        (1, 1): c2.G,
-    }
-    return Reduction(tower, [c1.n, c1.n], [c1.k, c2.k], blocks)
+    rows = [[*row, *f(row)] for row in c1.G] + [[0] * c1.n + list(row) for row in c2.G]
+    return Reduction(tower, [c1.n, c1.n], [c1.k, c2.k], rows)
 
 
 def exact_reduction_for_d1(R: Reduction, budget: int = DEFAULT_BUDGET) -> Reduction:
     """Rewrite the reduction so the minimum over row-component distances
     equals the code's first weight.
 
-    A minimum-weight codeword is pushed into a single row component by a
-    block change of basis that cancels its message blocks past the first
-    nonzero one; the code itself is unchanged.
+    A minimum-weight codeword x·G is pushed into a single row component by
+    a block change of basis.  With x_tau the first nonzero message entry,
+    row tau gains (1/x_tau)·x_tail·G_tail, where the tail is every row
+    group after tau's.  Then x·G is x with its tail set to zero times the
+    new generator, a codeword of the row component of tau's group.  The
+    code itself is unchanged.
     """
     tower = R.tower
     if R.k == 0 or R.l == 1:
         return R
     check_budget(linalg.gaussian_binomial(R.k, 1, tower.order), budget, "subspaces")
     x = rankmetric.min_closure(R.code(), 1)[0][0]
-    offsets = [0]
-    for k_i in R.dims:
-        offsets.append(offsets[-1] + k_i)
-    parts = [x[offsets[i]:offsets[i + 1]] for i in range(R.l)]
-    i0 = next(i for i in range(R.l) if any(parts[i]))
-    if all(not any(parts[j]) for j in range(i0 + 1, R.l)):
+    tau = next(t for t, v in enumerate(x) if v)
+    end = next(e for e in itertools.accumulate(R.dims) if e > tau)  # past tau's group
+    if not any(x[end:]):
         return R
-    tau = next(t for t, v in enumerate(parts[i0]) if v)
-    pivot_inv = tower.inv(parts[i0][tau])
-
-    rows_by_block = [R._group_rows(i) for i in range(R.l)]
-    new_i0 = [list(row) for row in rows_by_block[i0]]
-    for j in range(i0 + 1, R.l):
-        if not any(parts[j]):
-            continue
-        coefs = tower.scale(tower.neg(pivot_inv), parts[j])
-        shift = linalg.vec_mat(coefs, rows_by_block[j], R.n, tower)
-        new_i0[tau] = tower.axpy(new_i0[tau], 1, shift)
-    rows_by_block[i0] = new_i0
-    flat = [row for chunk in rows_by_block for row in chunk]
-    out = Reduction.from_generator(tower, R.lengths, R.dims, flat)
+    coefs = tower.scale(tower.inv(x[tau]), x[end:])
+    rows = list(R.G)
+    rows[tau] = tower.axpy(rows[tau], 1, linalg.vec_mat(coefs, R.G[end:], R.n, tower))
+    out = Reduction(tower, R.lengths, R.dims, rows)
     if not out.code().equals(R.code()):
         raise InvariantError("the rewritten reduction generates a different code")
     return out
@@ -552,36 +534,27 @@ def transform_reduction(R: Reduction,
                         A_blocks: Dict[Tuple[int, int], Sequence[Sequence[int]]]) -> Reduction:
     """Apply a block-upper-triangular change of basis A (invertible
     diagonal blocks) to the generator; the code, the main components and
-    the column components are unchanged."""
-    tower = R.tower
-    l = R.l
-    A: Dict[Tuple[int, int], List[List[int]]] = {}
+    the column components are unchanged.  Blocks missing from ``A_blocks``
+    are the identity on the diagonal and zero above it."""
+    tower, l, dims = R.tower, R.l, R.dims
+    if any(i > j for i, j in A_blocks):
+        raise ValueError("transform must be block-upper-triangular")
+    A: List[List[int]] = []
     for i in range(l):
-        for j in range(i, l):
+        group = [[] for _ in range(dims[i])]
+        for j in range(l):
             rows = A_blocks.get((i, j))
             if rows is None:
-                rows = linalg.identity(R.dims[i]) if i == j else linalg.zeros(R.dims[i], R.dims[j])
+                rows = linalg.identity(dims[i]) if i == j else linalg.zeros(dims[i], dims[j])
             rows = [list(map(int, row)) for row in rows]
-            if len(rows) != R.dims[i] or any(len(row) != R.dims[j] for row in rows):
+            if len(rows) != dims[i] or any(len(row) != dims[j] for row in rows):
                 raise ValueError(f"transform block {(i, j)} has the wrong shape")
-            A[(i, j)] = rows
-    for (i, j) in A_blocks:
-        if i > j:
-            raise ValueError("transform must be block-upper-triangular")
-    for i in range(l):
-        if linalg.rank(A[(i, i)], R.dims[i], tower) != R.dims[i]:
-            raise ValueError(f"diagonal transform block {i} is singular")
-    new_blocks: Dict[Tuple[int, int], List[List[int]]] = {}
-    for i in range(l):
-        for j in range(i, l):
-            acc = [[0] * R.lengths[j] for _ in range(R.dims[i])]
-            for t in range(i, j + 1):
-                if R.dims[t] == 0:
-                    continue
-                part = linalg.matmul(A[(i, t)], R.block(t, j), tower)
-                acc = [tower.axpy(ar, 1, pr) for ar, pr in zip(acc, part)]
-            new_blocks[(i, j)] = acc
-    return Reduction(tower, R.lengths, R.dims, new_blocks)
+            if i == j and linalg.rank(rows, dims[i], tower) != dims[i]:
+                raise ValueError(f"diagonal transform block {i} is singular")
+            for acc, row in zip(group, rows):
+                acc += row
+        A += group
+    return Reduction(tower, R.lengths, dims, linalg.matmul(A, R.G, tower))
 
 
 def random_block_transform(R: Reduction, seed: int) -> Dict[Tuple[int, int], List[List[int]]]:
@@ -607,24 +580,17 @@ def random_block_transform(R: Reduction, seed: int) -> Dict[Tuple[int, int], Lis
 
 def format_code_file(obj) -> str:
     """Serialize a LinearCode or Reduction to the line-oriented format."""
-    if isinstance(obj, Reduction):
-        tower, n, k = obj.tower, obj.n, obj.k
-        rows = obj.generator()
-        blocks_line = ("blocks n=" + ",".join(str(x) for x in obj.lengths)
-                       + " k=" + ",".join(str(x) for x in obj.dims))
-    elif isinstance(obj, LinearCode):
-        tower, n, k = obj.tower, obj.n, obj.k
-        rows = [list(r) for r in obj.G]
-        blocks_line = None
-    else:
+    if not isinstance(obj, (LinearCode, Reduction)):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    tower = obj.tower
     lines = [
         f"field p={tower.p} m={tower.m} modulus=" + ",".join(str(c) for c in tower.modulus),
-        f"code n={n} k={k}",
+        f"code n={obj.n} k={obj.k}",
     ]
-    if blocks_line:
-        lines.append(blocks_line)
-    return "\n".join(lines + _format_rows(tower, rows)) + "\n"
+    if isinstance(obj, Reduction):
+        lines.append("blocks n=" + ",".join(str(x) for x in obj.lengths)
+                     + " k=" + ",".join(str(x) for x in obj.dims))
+    return "\n".join(lines + _format_rows(tower, obj.G)) + "\n"
 
 
 def _format_rows(tower: FieldTower, rows: Sequence[Sequence[int]]) -> List[str]:
@@ -739,24 +705,11 @@ def parse_code_file(text: str):
     if idx != len(lines):
         raise CodeFileError(lines[idx][0], "trailing content after the last row")
 
-    if lengths is None:
-        try:
-            return LinearCode(tower, n, rows)
-        except ValueError as exc:
-            raise CodeFileError(row_linenos[0] if row_linenos else lineno, str(exc)) from None
-
-    offsets = [0]
-    for n_j in lengths:
-        offsets.append(offsets[-1] + n_j)
-    pos = 0
-    for i, k_i in enumerate(dims):
-        for r in range(k_i):
-            row = rows[pos]
-            if any(row[c] != 0 for c in range(offsets[i])):
-                raise CodeFileError(row_linenos[pos],
-                                    f"row violates the zero pattern of block row {i + 1}")
-            pos += 1
     try:
-        return Reduction.from_generator(tower, lengths, dims, rows)
+        if lengths is None:
+            return LinearCode(tower, n, rows)
+        return Reduction(tower, lengths, dims, rows)
+    except _ZeroPatternError as exc:
+        raise CodeFileError(row_linenos[exc.row], str(exc)) from None
     except ValueError as exc:
         raise CodeFileError(row_linenos[0] if row_linenos else lineno, str(exc)) from None

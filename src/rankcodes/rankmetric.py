@@ -21,8 +21,8 @@ reduced on the packed digits too: by XOR over F_2, and for odd p by adding
 a precomputed multiple of each echelon row.  This choice of kernel
 (:func:`_digit_ops`, :func:`_walk_kernel`, :func:`_row_packer`) is the only
 place outside the field where the characteristic changes the code path;
-the joint leakage enumeration packs and adds its images with the same
-digits, and the closed walk its reduced syndromes.
+the closed walk packs and adds its reduced syndromes with
+:func:`_row_packer`, and the joint leakage enumeration its images.
 
 The subcode oracle :func:`min_closure` is the rank-tree walk of
 :func:`linalg.rank_leaves` on the generator matrix, with the slices of each
@@ -186,7 +186,7 @@ def _walk_kernel(tower, n: int) -> tuple:
 
 def _row_packer(tower, n: int) -> tuple:
     """(pack, add) for rows of n codes whose packings are only added and
-    tested for zero, so that any layout will do.  Over F_2 the m bits of a
+    compared, so that any layout will do.  Over F_2 the m bits of a
     code are its digits, and entry j is shifted up by j·m bits; for odd p
     a row is packed by :func:`_pack` and added as :func:`_digit_ops` says."""
     p, m = tower.p, tower.m

@@ -7,8 +7,8 @@ exactly the dimension of the code's intersection with the row space of B.
 
 :func:`leakage_joint_enumeration` reproduces that number without the
 formula: it forms the distinct images c·[G^T | B^T], c·G^T and c·B^T one
-coordinate at a time, as packed F_p digits with the subcode walk's packing
-and addition for every p, checks that each layer counts every image
+coordinate at a time, as packed F_p digits added like the closed walk's
+syndromes for every p, checks that each layer counts every image
 equally often, and compares the mutual information these common counts
 give with :func:`leakage_exact`.
 
@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import linalg
 from .codes import LinearCode, Reduction, _content_lines, _parse_row
 from .errors import DEFAULT_BUDGET, JOINT_BUDGET, CodeFileError, InvariantError, check_budget
-from .rankmetric import GaloisClosedSpace, _digit_ops, _pack
+from .rankmetric import GaloisClosedSpace, _row_packer
 
 
 class LeakageReport(NamedTuple):
@@ -82,21 +82,16 @@ def _fibre(tower, cols: Sequence[Sequence[int]]) -> int:
     """How many c in F_{q^m}^n give each image c·M, M having the n rows
     ``cols``, one per coordinate; checked to be one common count.
 
-    An image is one :func:`rankmetric._pack` int of F_p digits, added as
-    :func:`rankmetric._digit_ops` says.  The images over the first j
+    An image is one int of F_p digits, packed and added as
+    :func:`rankmetric._row_packer` says.  The images over the first j
     coordinates are the distinct images over the first j − 1, each plus
     every multiple a·cols[j] (:func:`linalg._multiples`), counted with
     ``Counter``.  The map is additive, so its fibres are cosets of its
     kernel: each layer counts every image equally often, c times, and the
     count over j coordinates is the one over j − 1 times c.
     """
-    p, width, count = tower.p, len(cols[0]), 1
-    w, add = _digit_ops(p, tower.m * width)
-
-    def pack(row: Sequence[int]) -> int:
-        return _pack(p, width, w, row)
-
-    images = [0]
+    pack, add = _row_packer(tower, len(cols[0]))
+    images, count = [0], 1
     for col in cols:
         steps = linalg._multiples(tower, col, tower.order, pack, add)
         images = Counter(chain.from_iterable(map(add, images, repeat(t)) for t in steps))

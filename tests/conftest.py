@@ -6,8 +6,10 @@ from pathlib import Path
 from typing import Tuple
 
 import pytest
+from hypothesis import assume, strategies as st
 
 from rankcodes import FieldTower, HypothesisError, LinearCode, grw_table_exact, linalg, rankmetric
+from rankcodes.codes import Reduction
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +39,33 @@ def random_full_rank(tower, n, k, seed, label="random-code"):
         G = [[int(v) for v in rng.integers(0, tower.order, size=n)] for _ in range(k)]
         if linalg.rank(G, n, tower) == k:
             return LinearCode(tower, n, G)
+
+
+_SANDWICH_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2)]
+
+
+@st.composite
+def random_reduction(draw):
+    """A reduction with 3 or 4 blocks of length 1 or 2 over F_4, F_8 or F_9,
+    of total dimension 1..4 (a block may have dimension 0): random full-rank
+    diagonal blocks and random blocks above them.  Over F_9 the length stops
+    at 6, where the closed oracle's price stays within the default budget."""
+    t = draw(st.sampled_from(_SANDWICH_TOWERS))
+    lengths = [draw(st.integers(1, 2)) for _ in range(draw(st.integers(3, 4)))]
+    assume(sum(lengths) <= (8 if t.p == 2 else 6))
+    dims = []
+    for n_i in lengths:
+        dims.append(draw(st.integers(0, min(n_i, 4 - sum(dims)))))
+    assume(sum(dims) > 0)
+    entry = st.integers(0, t.order - 1)
+    rows = []
+    for i, k_i in enumerate(dims):
+        blocks = [[[draw(entry) for _ in range(lengths[j])] for _ in range(k_i)]
+                  for j in range(i, len(lengths))]
+        assume(linalg.rank(blocks[0], lengths[i], t) == k_i)
+        left = [0] * sum(lengths[:i])
+        rows += [left + [x for blk in blocks for x in blk[r]] for r in range(k_i)]
+    return Reduction(t, lengths, dims, rows)
 
 
 def closed_space_table_reference(code):

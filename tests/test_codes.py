@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
 
 from rankcodes import (BudgetError, CodeFileError, FieldTower, LinearCode,
                        Reduction, build_c_opt, build_mrd_reducible, cartesian,
@@ -13,7 +14,9 @@ from rankcodes import (BudgetError, CodeFileError, FieldTower, LinearCode,
 from rankcodes.codes import random_block_transform
 from rankcodes.rankmetric import min_closure
 
-from conftest import random_full_rank, src_env
+from conftest import random_full_rank, random_reduction, src_env
+
+F4 = FieldTower(2, 2)
 
 
 # -- gabidulin ----------------------------------------------------------
@@ -88,7 +91,24 @@ def test_reduction_components(f4):
     col1 = R.column_component(1)
     assert col1.n == 2 and col1.k >= mains[1].k
     with pytest.raises(ValueError):
-        Reduction(f4, [2, 2], [1, 1], {(0, 0): [[0, 0]], (1, 1): [[1, 0]]})
+        Reduction(f4, [2, 2], [1, 1], [[0, 0, 0, 0], [0, 0, 1, 0]])  # rank-deficient diagonal
+
+
+def test_reduction_names_the_row_left_of_its_block(f4):
+    """The zero pattern is checked once, in the constructor, and the error
+    names the generator row that breaks it; a code file reports that
+    row's line from the error's row index."""
+    rows = [[1, 0, 0, 0], [0, 1, 2, 0], [1, 0, 0, 1]]
+    with pytest.raises(ValueError, match="^generator row 2 violates the zero pattern: "
+                                         "nonzero left of diagonal block 2$") as err:
+        Reduction(f4, [1, 2, 1], [1, 1, 1], rows)
+    assert err.value.row == 2
+    text = ("field p=2 m=2 modulus=1,1,1\ncode n=4 k=3\nblocks n=1,2,1 k=1,1,1\n"
+            "row 1,0 0,0 0,0 0,0\n# the next row is fine\nrow 0,0 1,0 0,1 0,0\n"
+            "row 1,0 0,0 0,0 1,0\n")
+    with pytest.raises(CodeFileError, match="^line 7: generator row 2 violates") as err:
+        parse_code_file(text)
+    assert err.value.lineno == 7
 
 
 # -- duals ---------------------------------------------------------------
@@ -343,6 +363,40 @@ def test_exact_reduction_for_d1_random(f8):
         assert min(min_closure(out.row_component(i), 1)[1] for i in range(out.l)) == d1
 
 
+def test_exact_reduction_for_d1_one_block_or_no_rows(f4):
+    one = cartesian([gabidulin(f4, 2, 1)])
+    empty = cartesian([gabidulin(f4, 2, 0), gabidulin(f4, 2, 0)])
+    for R in (one, empty):
+        assert exact_reduction_for_d1(R, budget=0) is R  # nothing is enumerated
+
+
+def test_exact_reduction_for_d1_zero_middle_block(f4):
+    """A minimum-weight message nonzero in groups 0 and 2 but zero in group
+    1: only row 0 changes, by the group-2 part of the message, and the
+    codeword lands in row component 0."""
+    R = reducible([gabidulin(f4, 1, 1), gabidulin(f4, 2, 1), gabidulin(f4, 1, 1)], seed=22)
+    x = min_closure(R.code(), 1)[0][0]
+    assert x[0] and not x[1] and x[2]
+    out = exact_reduction_for_d1(R)
+    G = R.generator()
+    assert out.generator() == [f4.axpy(G[0], f4.mul(f4.inv(x[0]), x[2]), G[2])] + G[1:]
+    assert out.code().equals(R.code())
+    assert out.row_component(0).contains_vector(R.code().codeword(x))
+
+
+def test_exact_reduction_for_d1_odd_characteristic():
+    """Over F_27 the tail is added with coefficients x_tail/x_tau, not
+    their negatives, so the minimum-weight codeword is in a row component
+    and the row components attain d_1."""
+    t = FieldTower(3, 3)
+    R = reducible([gabidulin(t, 3, 2), gabidulin(t, 3, 1)], seed=0)
+    x, d1 = min_closure(R.code(), 1)
+    out = exact_reduction_for_d1(R)
+    assert out.code().equals(R.code())
+    assert any(out.row_component(i).contains_vector(R.code().codeword(x[0])) for i in range(2))
+    assert min(min_closure(out.row_component(i), 1)[1] for i in range(2)) == d1 == 2
+
+
 _FORGED = """
 from rankcodes import FieldTower, codes, gabidulin, mrd_plan
 
@@ -356,7 +410,7 @@ except AssertionError as exc:
 codes.reducible = real
 mains = [gabidulin(f8, 3, 2), gabidulin(f8, 2, 1)]
 R, other = real(mains, seed=0), codes.cartesian(mains)
-codes.Reduction.from_generator = staticmethod(lambda *args: other)  # a different code
+codes.Reduction = lambda *args: other  # the rewrite builds a different code
 try:
     codes.exact_reduction_for_d1(R)
 except AssertionError as exc:
@@ -387,6 +441,16 @@ def test_transform_reduction_identity_and_invariants(f4):
         assert out.column_component(i).equals(R.column_component(i))
     with pytest.raises(ValueError):
         transform_reduction(R, {(0, 0): [[0]]})  # singular diagonal
+
+
+def test_transform_reduction_with_a_zero_dimension_block(f8):
+    R = reducible([gabidulin(f8, 2, 1), gabidulin(f8, 2, 0), gabidulin(f8, 3, 2)], seed=5)
+    out = transform_reduction(R, random_block_transform(R, seed=8))
+    assert out.dims == (1, 0, 2) and out.generator() != R.generator()
+    assert out.code().equals(R.code())
+    for i in range(R.l):
+        assert out.main_component(i).equals(R.main_component(i))
+        assert out.column_component(i).equals(R.column_component(i))
 
 
 def test_transform_preserves_bound_tables(f4):
@@ -455,6 +519,15 @@ def test_code_file_roundtrip_reduction(f8):
     assert back.lengths == R.lengths and back.dims == R.dims
     assert back.generator() == R.generator()
     assert format_code_file(back) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_reduction())
+@example(reducible([gabidulin(F4, 1, 0), gabidulin(F4, 2, 1), gabidulin(F4, 2, 0)], seed=1))
+def test_code_file_round_trips_random_reductions(R):
+    back = parse_code_file(format_code_file(R))
+    assert isinstance(back, Reduction)
+    assert (back.lengths, back.dims, back.generator()) == (R.lengths, R.dims, R.generator())
 
 
 def test_code_file_comments_and_errors(f4):

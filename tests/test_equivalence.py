@@ -248,7 +248,7 @@ def test_exact_product_rows_inside_component(f4):
     c1 = gabidulin(f4, 2, 1)
     c2 = gabidulin(f4, 2, 1)
     # coupling row inside the main component
-    R = Reduction(f4, [2, 2], [1, 1], {(0, 0): c1.G, (0, 1): [c2.G[0]], (1, 1): c2.G})
+    R = Reduction(f4, [2, 2], [1, 1], [c1.G[0] + c2.G[0], (0, 0) + c2.G[0]])
     assert exact_product_test(R)
     assert not R.is_cartesian()
 
@@ -257,5 +257,5 @@ def test_exact_product_rows_outside_component(f4):
     c1 = gabidulin(f4, 2, 1)
     c2 = gabidulin(f4, 2, 1)
     dualrow = c2.dual().G[0]  # independent from C_2, so membership fails
-    R = Reduction(f4, [2, 2], [1, 1], {(0, 0): c1.G, (0, 1): [dualrow], (1, 1): c2.G})
+    R = Reduction(f4, [2, 2], [1, 1], [c1.G[0] + dualrow, (0, 0) + c2.G[0]])
     assert not exact_product_test(R)

@@ -4,20 +4,20 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rankcodes import (BudgetError, FieldTower, HypothesisError, LinearCode,
                        build_c_opt, cartesian, composition_search, gabidulin, grw_bounds_reducible, grw_estimates_mrd,
                        grw_report_exact, grw_table_exact, is_degenerate,
                        linalg, mrd_plan, mrd_rank, mrd_rank_bounds,
                        reducible, singleton_check)
-from rankcodes.codes import Reduction, dual_reduction
+from rankcodes.codes import dual_reduction
 from rankcodes.errors import InvariantError
 from rankcodes.grw import degeneracy_report, minplus, mrd_rank_from_table, singleton_max_d1
 from rankcodes.rankmetric import GaloisClosedSpace, closure_dim, min_closure
 from rankcodes import codes as codes_mod, grw as grw_mod
 
-from conftest import closed_space_table_reference, random_full_rank, src_env
+from conftest import closed_space_table_reference, random_full_rank, random_reduction, src_env
 
 
 # -- oracles -----------------------------------------------------------------
@@ -294,31 +294,6 @@ def test_bounds_sandwich_and_example1_cases(f8):
         # k_2 < r <= k: Singleton-optimal
         assert rep.entries[2].exact == R.n - R.k + 3
         assert exact[1] == 3 and exact[2] == 5
-
-
-_SANDWICH_TOWERS = [FieldTower(2, 2), FieldTower(2, 3), FieldTower(3, 2)]
-
-
-@st.composite
-def random_reduction(draw):
-    """A reduction with 3 or 4 blocks of length 1 or 2 over F_4, F_8 or F_9,
-    of total dimension 1..4 (a block may have dimension 0): random full-rank
-    diagonal blocks and random blocks above them.  Over F_9 the length stops
-    at 6, where the closed oracle's price stays within the default budget."""
-    t = draw(st.sampled_from(_SANDWICH_TOWERS))
-    lengths = [draw(st.integers(1, 2)) for _ in range(draw(st.integers(3, 4)))]
-    assume(sum(lengths) <= (8 if t.p == 2 else 6))
-    dims = []
-    for n_i in lengths:
-        dims.append(draw(st.integers(0, min(n_i, 4 - sum(dims)))))
-    assume(sum(dims) > 0)
-    entry = st.integers(0, t.order - 1)
-    blocks = {}
-    for i, k_i in enumerate(dims):
-        for j in range(i, len(lengths)):
-            blocks[(i, j)] = [[draw(entry) for _ in range(lengths[j])] for _ in range(k_i)]
-        assume(linalg.rank(blocks[(i, i)], lengths[i], t) == k_i)
-    return Reduction(t, lengths, dims, blocks)
 
 
 @settings(max_examples=40, deadline=None)

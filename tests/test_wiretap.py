@@ -161,7 +161,8 @@ import operator
 from rankcodes import FieldTower, gabidulin, linalg
 from rankcodes import wiretap as wt
 
-wt._digit_ops = lambda p, fields: (1, operator.or_)
+real = wt._row_packer
+wt._row_packer = lambda tower, n: (real(tower, n)[0], operator.or_)
 try:
     wt.leakage_joint_enumeration(gabidulin(FieldTower(2, 2), 2, 1), linalg.identity(2))
 except AssertionError as exc:
@@ -173,7 +174,8 @@ def test_joint_enumeration_checks_common_count(monkeypatch):
     """OR in place of XOR is no group operation: the images are no cosets
     of a kernel, and the layer whose counts differ is refused, in-process
     and under -O."""
-    monkeypatch.setattr(wt, "_digit_ops", lambda p, fields: (1, operator.or_))
+    real = wt._row_packer
+    monkeypatch.setattr(wt, "_row_packer", lambda tower, n: (real(tower, n)[0], operator.or_))
     with pytest.raises(InvariantError, match="not one common count"):
         wt.leakage_joint_enumeration(gabidulin(F4, 2, 1), linalg.identity(2))
     res = subprocess.run([sys.executable, "-O", "-c", _OR_ADDITION],
